@@ -524,17 +524,76 @@ fn analyze(o: &Opts) -> Result<String, String> {
     Ok(s)
 }
 
-fn load_data(o: &Opts, q: &parqp_query::Query) -> Result<Vec<Relation>, String> {
+/// Why a `--data` file set cannot feed the query's atoms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum DataError {
+    /// The number of files differs from the number of atoms.
+    Count { expected: usize, got: usize },
+    /// A file could not be read or parsed.
+    Read { file: String, message: String },
+    /// A file's arity differs from that of the atom it feeds.
+    Arity {
+        file: String,
+        atom: String,
+        expected: usize,
+        got: usize,
+    },
+}
+
+impl std::fmt::Display for DataError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DataError::Count { expected, got } => write!(
+                f,
+                "--data needs {expected} file(s) (one per atom), got {got}"
+            ),
+            DataError::Read { file, message } => write!(f, "{file}: {message}"),
+            DataError::Arity {
+                file,
+                atom,
+                expected,
+                got,
+            } => write!(
+                f,
+                "{file}: {got} column(s), but atom {atom} has arity {expected}"
+            ),
+        }
+    }
+}
+
+impl From<DataError> for String {
+    fn from(e: DataError) -> Self {
+        e.to_string()
+    }
+}
+
+/// Read one relation per atom, checking the file count and each file's
+/// arity against its atom before anything computes on them.
+fn load_data(o: &Opts, q: &parqp_query::Query) -> Result<Vec<Relation>, DataError> {
     if o.data.len() != q.num_atoms() {
-        return Err(format!(
-            "--data needs {} file(s) (one per atom), got {}",
-            q.num_atoms(),
-            o.data.len()
-        ));
+        return Err(DataError::Count {
+            expected: q.num_atoms(),
+            got: o.data.len(),
+        });
     }
     o.data
         .iter()
-        .map(|f| read_relation(f).map_err(|e| format!("{f}: {e}")))
+        .zip(q.atoms())
+        .map(|(file, atom)| {
+            let rel = read_relation(file).map_err(|e| DataError::Read {
+                file: file.clone(),
+                message: e.to_string(),
+            })?;
+            if rel.arity() != atom.arity() {
+                return Err(DataError::Arity {
+                    file: file.clone(),
+                    atom: atom.name.clone(),
+                    expected: atom.arity(),
+                    got: rel.arity(),
+                });
+            }
+            Ok(rel)
+        })
         .collect()
 }
 
@@ -1075,6 +1134,26 @@ mod tests {
             Ok(rel) => assert_eq!(rel.len(), reported),
             Err(_) => assert_eq!(reported, 0),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn data_arity_mismatch_is_a_typed_error() {
+        let dir = tmpdir("arity");
+        let file = dir.join("two_cols.csv");
+        std::fs::write(&file, "1,2\n3,4\n").expect("write data");
+        let path = file.to_str().expect("utf8");
+        let o = Opts::parse(&argv(&["--data", path])).expect("options parse");
+        let q = parse_query("Q(x,y,z) :- R(x,y,z)").expect("query parses");
+        assert_eq!(
+            load_data(&o, &q).err(),
+            Some(DataError::Arity {
+                file: path.to_string(),
+                atom: "R".into(),
+                expected: 3,
+                got: 2,
+            })
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -69,17 +69,6 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
     }
     let input: usize = rels.iter().map(Relation::len).sum();
 
-    // Any heavy hitters (per the paper's IN/p threshold)?
-    let heavy = skewhc::heavy_values(query, rels, p);
-    let skewed = {
-        // A variable is skewed only if a value repeats beyond threshold;
-        // degree-1 "heavy" values from the max(1,…) floor don't count.
-        query.atoms().iter().zip(rels).any(|(atom, rel)| {
-            let threshold = ((rel.len() / p) as u64).max(2);
-            (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
-        }) && heavy.iter().any(|h| !h.is_empty())
-    };
-
     if query.num_atoms() == 2 {
         let shared = query.shared_vars(0, 1);
         if shared.is_empty() {
@@ -108,7 +97,7 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
                 ),
             };
         }
-        if skewed {
+        if skewed(query, rels, p) {
             return Decision {
                 strategy: Strategy::SkewJoin,
                 reason: "heavy hitters on the join attribute: heavy/light split (slide 30)".into(),
@@ -139,7 +128,7 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
             };
         }
     }
-    if skewed {
+    if skewed(query, rels, p) {
         return Decision {
             strategy: Strategy::SkewHC,
             reason: "multiway with heavy hitters: SkewHC residual queries (slide 47)".into(),
@@ -173,6 +162,18 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
         strategy: Strategy::HyperCube,
         reason: "multiway skew-free: one-round HyperCube at the τ* optimum (slide 40)".into(),
     }
+}
+
+/// Whether any heavy hitters exist, per the paper's `N/p` threshold: some
+/// atom column holds a value of degree at least `max(2, N/p)`, `N` the
+/// atom's size. The floor of 2 keeps degree-1 values out, and such a
+/// value is also heavy at SkewHC's `max(1, N/p)` threshold, so no
+/// separate heavy-set pass is needed.
+fn skewed(query: &Query, rels: &[Relation], p: usize) -> bool {
+    query.atoms().iter().zip(rels).any(|(atom, rel)| {
+        let threshold = ((rel.len() / p) as u64).max(2);
+        (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
+    })
 }
 
 /// Execute a strategy (normally the one returned by [`plan`]).
@@ -273,10 +274,10 @@ fn reorder_twoway(
     s_col: usize,
     swapped: bool,
 ) -> JoinRun {
-    let (first, second, fcol, scol) = if swapped {
-        (1, 0, s_col, r_col)
+    let (first, second, scol) = if swapped {
+        (1, 0, r_col)
     } else {
-        (0, 1, r_col, s_col)
+        (0, 1, s_col)
     };
     let a0 = &query.atoms()[first];
     let a1 = &query.atoms()[second];
@@ -290,18 +291,20 @@ fn reorder_twoway(
             .filter(|&(i, _)| i != scol)
             .map(|(_, &v)| v),
     );
-    let _ = fcol;
     let mut col_of_var = vec![0usize; query.num_vars()];
     for (i, &v) in schema.iter().enumerate() {
         col_of_var[v] = i;
     }
     let order: Vec<usize> = (0..query.num_vars()).map(|v| col_of_var[v]).collect();
+    let identity = order.iter().enumerate().all(|(i, &c)| i == c);
     let outputs = run
         .outputs
         .into_iter()
         .map(|rel| {
             if rel.is_empty() {
                 parqp_data::Relation::new(query.num_vars())
+            } else if identity {
+                rel
             } else {
                 rel.project(&order)
             }
@@ -429,6 +432,72 @@ mod tests {
         ];
         let (d, _) = check(&q, &rels, 1);
         assert_eq!(d.strategy, Strategy::SingleServer);
+    }
+
+    /// The skew predicate as it was first written: the max-degree test
+    /// AND a non-empty SkewHC heavy set.
+    fn skewed_two_conjuncts(query: &Query, rels: &[Relation], p: usize) -> bool {
+        let heavy = skewhc::heavy_values(query, rels, p);
+        query.atoms().iter().zip(rels).any(|(atom, rel)| {
+            let threshold = ((rel.len() / p) as u64).max(2);
+            (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
+        }) && heavy.iter().any(|h| !h.is_empty())
+    }
+
+    #[test]
+    fn single_pass_skew_test_equals_the_two_conjunct_formula() {
+        let mut rng = parqp_testkit::rng::Rng::seed_from_u64(0x5eed);
+        let shapes = [Query::two_way(), Query::triangle(), Query::chain(3)];
+        let mut agreed = [0usize; 2];
+        for case in 0..300u64 {
+            let q = &shapes[(case % 3) as usize];
+            let p = rng.gen_range(2..=64usize);
+            let rels: Vec<Relation> = (0..q.num_atoms())
+                .map(|j| {
+                    let n = rng.gen_range(0..=400usize);
+                    let domain = rng.gen_range(1..=100_000u64);
+                    let mut rel = generate::uniform(2, n, domain, case * 8 + j as u64);
+                    // Plant a hot value of random degree in a random column
+                    // of every other relation.
+                    let hot = if rng.gen_bool(0.5) {
+                        rng.gen_range(1..=120u64)
+                    } else {
+                        0
+                    };
+                    let col = rng.gen_range(0..2usize);
+                    for i in 0..hot {
+                        let row = if col == 0 { [7, i] } else { [i, 7] };
+                        rel.push(&row);
+                    }
+                    rel
+                })
+                .collect();
+            let old = skewed_two_conjuncts(q, &rels, p);
+            assert_eq!(skewed(q, &rels, p), old, "case {case}: {q} at p = {p}");
+            agreed[usize::from(old)] += 1;
+        }
+        assert!(
+            agreed.iter().all(|&n| n > 20),
+            "grid covers both outcomes: {agreed:?}"
+        );
+    }
+
+    #[test]
+    fn identity_reorder_keeps_the_run_as_is() {
+        let q = Query::two_way();
+        let rels = [
+            generate::uniform(2, 200, 30, 21),
+            generate::uniform(2, 200, 30, 22),
+        ];
+        let run = twoway::hash_join(&rels[0], 1, &rels[1], 0, 4, 5);
+        let reordered = reorder_twoway(&q, run.clone(), 1, 0, false);
+        assert_eq!(
+            reordered.outputs, run.outputs,
+            "R(x,y) ⋈ S(y,z) already yields x, y, z"
+        );
+        // A swapped broadcast still reorders.
+        let swapped = reorder_twoway(&q, run.clone(), 1, 0, true);
+        assert_ne!(swapped.outputs, run.outputs);
     }
 
     #[test]

@@ -39,6 +39,17 @@ impl Relation {
         }
     }
 
+    /// Adopt `data` as row-major storage of `arity`-wide rows, without
+    /// copying (e.g. a received row batch).
+    ///
+    /// # Panics
+    /// Panics if `arity == 0` or `data.len()` is not a multiple of it.
+    pub fn from_flat(arity: usize, data: Vec<Value>) -> Self {
+        assert!(arity > 0, "relations must have positive arity");
+        assert_eq!(data.len() % arity, 0, "flat data is not whole rows");
+        Self { arity, data }
+    }
+
     /// Build a relation from an iterator of rows.
     ///
     /// # Panics
@@ -175,18 +186,9 @@ impl Relation {
         out
     }
 
-    /// Convert to a vector of owned rows (test convenience).
+    /// Convert to a vector of owned rows.
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         self.iter().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Take the rows out as owned boxed slices (the message type used on
-    /// the simulated wire).
-    pub fn into_messages(self) -> Vec<Vec<Value>> {
-        self.data
-            .chunks_exact(self.arity)
-            .map(<[Value]>::to_vec)
-            .collect()
     }
 }
 
@@ -270,11 +272,22 @@ mod tests {
     }
 
     #[test]
-    fn into_messages_roundtrip() {
+    fn to_rows_roundtrip() {
         let r = r3();
-        let msgs = r.clone().into_messages();
-        let back = Relation::from_rows(2, msgs);
+        let back = Relation::from_rows(2, r.to_rows());
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn from_flat_adopts_whole_rows() {
+        let r = Relation::from_flat(2, vec![1, 2, 3, 4]);
+        assert_eq!(r.to_rows(), vec![vec![1, 2], vec![3, 4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole rows")]
+    fn from_flat_rejects_partial_rows() {
+        Relation::from_flat(2, vec![1, 2, 3]);
     }
 
     #[test]

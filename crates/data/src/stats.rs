@@ -12,7 +12,8 @@ use crate::relation::{Relation, Value};
 /// Exact degree (occurrence count) of every value in column `col`.
 pub fn degree_counts(rel: &Relation, col: usize) -> FastMap<Value, u64> {
     assert!(col < rel.arity(), "column out of range");
-    let mut deg: FastMap<Value, u64> = FastMap::default();
+    let mut deg: FastMap<Value, u64> =
+        FastMap::with_capacity_and_hasher(rel.len(), Default::default());
     for row in rel.iter() {
         *deg.entry(row[col]).or_insert(0) += 1;
     }

@@ -9,9 +9,9 @@
 //! These exist to regenerate E01 and as sanity baselines: every real
 //! algorithm in this crate must beat at least one of them on every input.
 
-use crate::common::{joined_arity, local_hash_join, scatter, JoinRun, Tagged};
-use parqp_data::{Relation, Value};
-use parqp_mpc::Cluster;
+use crate::common::{by_tag, joined_arity, local_hash_join, rows_of, scatter, JoinRun};
+use parqp_data::Relation;
+use parqp_mpc::{Cluster, RowBatch};
 
 const TAG_R: u32 = 0;
 const TAG_S: u32 = 1;
@@ -28,26 +28,24 @@ pub fn naive_one_server(
     let mut cluster = Cluster::new(p);
     let r_parts = scatter(r, p);
     let s_parts = scatter(s, p);
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for part in &r_parts {
         for row in part.iter() {
-            ex.send(0, Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row(0, TAG_R, row);
         }
     }
     for part in &s_parts {
         for row in part.iter() {
-            ex.send(0, Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row(0, TAG_S, row);
         }
     }
-    let mut inboxes = ex.finish();
+    let inboxes = ex.finish();
 
     let mut outputs: Vec<Relation> = (0..p)
         .map(|_| Relation::new(joined_arity(r.arity(), s.arity())))
         .collect();
-    let inbox = std::mem::take(&mut inboxes[0]);
-    let (r_rows, s_rows): (Vec<_>, Vec<_>) = inbox.into_iter().partition(|t| t.tag == TAG_R);
-    let r_rows: Vec<Vec<Value>> = r_rows.into_iter().map(|t| t.row).collect();
-    let s_rows: Vec<Vec<Value>> = s_rows.into_iter().map(|t| t.row).collect();
+    let inbox = inboxes.into_iter().next().unwrap_or_default();
+    let [r_rows, s_rows] = by_tag(inbox, [r.arity(), s.arity()]);
     local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut outputs[0]);
     JoinRun {
         outputs,
@@ -62,14 +60,7 @@ pub fn naive_one_server(
 pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usize) -> JoinRun {
     let mut cluster = Cluster::new(p);
     let r_parts = scatter(r, p);
-    let mut s_parts: Vec<Vec<Vec<Value>>> = scatter(s, p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
-    let r_rows: Vec<Vec<Vec<Value>>> = r_parts
-        .iter()
-        .map(|part| part.iter().map(<[Value]>::to_vec).collect())
-        .collect();
+    let mut s_parts = scatter(s, p);
 
     let mut outputs: Vec<Relation> = (0..p)
         .map(|_| Relation::new(joined_arity(r.arity(), s.arity())))
@@ -77,19 +68,23 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
 
     // Round 0 joins the co-resident fragments for free; then p−1 hops.
     for (sid, out) in outputs.iter_mut().enumerate() {
-        local_hash_join(&r_rows[sid], r_col, &s_parts[sid], s_col, out);
+        local_hash_join(&r_parts[sid], r_col, &s_parts[sid], s_col, out);
     }
     for _hop in 1..p {
-        let mut ex = cluster.exchange::<Vec<Value>>();
+        let mut ex = cluster.exchange::<RowBatch>();
         for (sid, rows) in s_parts.iter().enumerate() {
             let dest = (sid + 1) % p;
             for row in rows {
-                ex.send(dest, row.clone());
+                ex.send_row(dest, 0, row);
             }
         }
-        s_parts = ex.finish();
+        s_parts = ex
+            .finish()
+            .into_iter()
+            .map(|inbox| rows_of(inbox, s.arity()))
+            .collect();
         for (sid, out) in outputs.iter_mut().enumerate() {
-            local_hash_join(&r_rows[sid], r_col, &s_parts[sid], s_col, out);
+            local_hash_join(&r_parts[sid], r_col, &s_parts[sid], s_col, out);
         }
     }
     JoinRun {

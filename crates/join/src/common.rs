@@ -1,7 +1,7 @@
 //! Shared plumbing for the join algorithms.
 
-use parqp_data::{Relation, Value};
-use parqp_mpc::{LoadReport, Weight};
+use parqp_data::{FastMap, Relation, Value};
+use parqp_mpc::{LoadReport, RowBatch};
 
 /// The result of running a distributed algorithm: per-server outputs and
 /// the communication cost summary.
@@ -31,29 +31,38 @@ impl JoinRun {
     }
 }
 
-/// A relation tuple on the wire, tagged with the index of the relation it
-/// belongs to. The tag is routing metadata and is not charged as payload:
-/// the load of a tuple is its width in words, matching the paper's
-/// "tuples received" accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tagged {
-    /// Index of the source relation (atom).
-    pub tag: u32,
-    /// The tuple.
-    pub row: Vec<Value>,
-}
-
-impl Tagged {
-    /// Construct a tagged tuple.
-    pub fn new(tag: u32, row: Vec<Value>) -> Self {
-        Self { tag, row }
+/// Regroup one server's row-batch inbox by tag: every row that arrived
+/// with tag `t` is appended to `out[t]`, in inbox order. A batch landing
+/// on an empty relation is adopted without copying.
+///
+/// # Panics
+/// Panics if a batch's tag has no slot in `out` or its arity disagrees
+/// with the slot's.
+pub fn append_by_tag(inbox: Vec<RowBatch>, out: &mut [Relation]) {
+    for batch in inbox {
+        let rel = &mut out[batch.tag() as usize];
+        let rows = Relation::from_flat(batch.arity(), batch.into_values());
+        if rel.is_empty() {
+            assert_eq!(rel.arity(), rows.arity(), "arity mismatch in batch");
+            *rel = rows;
+        } else {
+            rel.extend_from(&rows);
+        }
     }
 }
 
-impl Weight for Tagged {
-    fn words(&self) -> u64 {
-        self.row.len() as u64
-    }
+/// [`append_by_tag`] into fresh relations, one per tag `0..N` at the
+/// given arities: `let [r, s] = by_tag(inbox, [2, 3]);`.
+pub fn by_tag<const N: usize>(inbox: Vec<RowBatch>, arities: [usize; N]) -> [Relation; N] {
+    let mut out = arities.map(Relation::new);
+    append_by_tag(inbox, &mut out);
+    out
+}
+
+/// The rows of a single-tag inbox (every batch tagged 0), in inbox order.
+pub fn rows_of(inbox: Vec<RowBatch>, arity: usize) -> Relation {
+    let [rows] = by_tag(inbox, [arity]);
+    rows
 }
 
 /// Split `rel` into `p` round-robin fragments (the model's free initial
@@ -83,27 +92,27 @@ pub fn joined_arity(r_arity: usize, s_arity: usize) -> usize {
     r_arity + s_arity - 1
 }
 
-/// Local hash join of two tuple sets on `r_col` / `s_col`, appending
-/// merged rows to `out`.
-pub fn local_hash_join(
-    r_rows: &[Vec<Value>],
-    r_col: usize,
-    s_rows: &[Vec<Value>],
-    s_col: usize,
-    out: &mut Relation,
-) {
-    use parqp_data::FastMap;
-    let mut table: FastMap<Value, Vec<usize>> = FastMap::default();
-    for (i, row) in r_rows.iter().enumerate() {
-        table.entry(row[r_col]).or_default().push(i);
+/// Local hash join of `r` and `s` on `r_col` / `s_col`, appending merged
+/// rows to `out`: each `s` row in order, then its matching `r` rows in
+/// order. The index over `r` is a head map plus per-row `next` chains,
+/// built back to front so every chain runs in row order.
+pub fn local_hash_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, out: &mut Relation) {
+    const END: usize = usize::MAX;
+    let mut head: FastMap<Value, usize> =
+        FastMap::with_capacity_and_hasher(r.len(), Default::default());
+    let mut next = vec![END; r.len()];
+    for (i, row) in r.into_iter().enumerate().rev() {
+        if let Some(prev) = head.insert(row[r_col], i) {
+            next[i] = prev;
+        }
     }
-    let mut buf = Vec::new();
-    for s_row in s_rows {
-        if let Some(matches) = table.get(&s_row[s_col]) {
-            for &i in matches {
-                merge_rows(&r_rows[i], s_row, s_col, &mut buf);
-                out.push(&buf);
-            }
+    let mut buf = Vec::with_capacity(joined_arity(r.arity(), s.arity()));
+    for s_row in s.iter() {
+        let mut i = head.get(&s_row[s_col]).copied().unwrap_or(END);
+        while i != END {
+            merge_rows(r.row(i), s_row, s_col, &mut buf);
+            out.push(&buf);
+            i = next[i];
         }
     }
 }
@@ -111,9 +120,7 @@ pub fn local_hash_join(
 /// The serial two-way equi-join oracle in the same output convention.
 pub fn twoway_oracle(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> Relation {
     let mut out = Relation::new(joined_arity(r.arity(), s.arity()));
-    let r_rows: Vec<Vec<Value>> = r.iter().map(<[Value]>::to_vec).collect();
-    let s_rows: Vec<Vec<Value>> = s.iter().map(<[Value]>::to_vec).collect();
-    local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
+    local_hash_join(r, r_col, s, s_col, &mut out);
     out
 }
 
@@ -122,9 +129,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tagged_weight_counts_row_only() {
-        let t = Tagged::new(3, vec![1, 2, 3]);
-        assert_eq!(t.words(), 3);
+    fn append_by_tag_regroups_in_inbox_order() {
+        let batch = |tag, arity, data: &[u64]| RowBatch::new(tag, arity, data.to_vec());
+        let inbox = vec![
+            batch(1, 3, &[7, 7, 7]),
+            batch(0, 2, &[1, 2, 3, 4]),
+            batch(1, 3, &[8, 8, 8]),
+            batch(0, 2, &[5, 6]),
+        ];
+        let mut rels = [Relation::new(2), Relation::new(3), Relation::new(1)];
+        append_by_tag(inbox, &mut rels);
+        assert_eq!(rels[0].to_rows(), vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
+        assert_eq!(rels[1].to_rows(), vec![vec![7, 7, 7], vec![8, 8, 8]]);
+        assert!(rels[2].is_empty() && rels[2].arity() == 1);
+    }
+
+    #[test]
+    fn local_hash_join_emits_s_order_then_r_order() {
+        let r = Relation::from_rows(2, [[1, 5], [2, 6], [3, 5], [4, 5]]);
+        let s = Relation::from_rows(2, [[6, 10], [5, 11], [7, 12], [5, 13]]);
+        let mut out = Relation::new(3);
+        local_hash_join(&r, 1, &s, 0, &mut out);
+        assert_eq!(
+            out.to_rows(),
+            vec![
+                vec![2, 6, 10],
+                vec![1, 5, 11],
+                vec![3, 5, 11],
+                vec![4, 5, 11],
+                vec![1, 5, 13],
+                vec![3, 5, 13],
+                vec![4, 5, 13],
+            ]
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Dist {
             schema: vars.to_vec(),
             parts: scatter(rel, p)
                 .into_iter()
-                .map(Relation::into_messages)
+                .map(|part| part.to_rows())
                 .collect(),
         }
     }

@@ -17,9 +17,13 @@
 //!   `R(x,y) ⋉ S(y,c) ⋉ T(c,x)` on its own `~p^{2/3}`-server group,
 //!   2 rounds at `L = O(IN/p^{2/3})` — worst-case optimal overall.
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{by_tag, rows_of, scatter, JoinRun};
 use parqp_data::{FastMap, FastSet, Relation, Value};
-use parqp_mpc::{Cluster, HashFamily, LoadReport};
+use parqp_mpc::{Cluster, HashFamily, LoadReport, RowBatch};
+
+/// Round-A tag of the semijoin's right-side keys; asks carry the
+/// asking server's rank as their tag.
+const TAG_MEMBER: u32 = u32::MAX;
 
 /// Filter the in-place left fragments by membership of column `key_col`
 /// in the unary relation `right`, without moving `left`: a request/reply
@@ -39,49 +43,51 @@ fn semijoin_requests(
     // Round A: distinct left keys (tagged with the asking server) and
     // right keys meet at h(key).
     let right_parts = scatter(right, p);
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (sid, part) in left_parts.iter().enumerate() {
         let mut seen: FastSet<Value> = FastSet::default();
         for row in part.iter() {
             if seen.insert(row[key_col]) {
-                ex.send(
-                    h.hash(dim, row[key_col], p),
-                    Tagged::new(sid as u32, vec![row[key_col]]),
-                );
+                ex.send_row(h.hash(dim, row[key_col], p), sid as u32, &[row[key_col]]);
             }
         }
     }
     for part in &right_parts {
         for row in part.iter() {
-            ex.send(h.hash(dim, row[0], p), Tagged::new(u32::MAX, vec![row[0]]));
+            ex.send_row(h.hash(dim, row[0], p), TAG_MEMBER, &[row[0]]);
         }
     }
     let inboxes = ex.finish();
 
     // Round B: positive replies go back to the asking servers.
-    let mut ex = cluster.exchange::<Vec<Value>>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for inbox in inboxes {
-        let mut members: FastSet<Value> = FastSet::default();
-        let mut asks: Vec<(usize, Value)> = Vec::new();
-        for t in inbox {
-            if t.tag == u32::MAX {
-                members.insert(t.row[0]);
-            } else {
-                asks.push((t.tag as usize, t.row[0]));
-            }
-        }
-        for (origin, key) in asks {
-            if members.contains(&key) {
-                ex.send(origin, vec![key]);
+        let members: FastSet<Value> = inbox
+            .iter()
+            .filter(|b| b.tag() == TAG_MEMBER)
+            .flat_map(|b| b.values().iter().copied())
+            .collect();
+        for asks in inbox.iter().filter(|b| b.tag() != TAG_MEMBER) {
+            for &key in asks.values() {
+                if members.contains(&key) {
+                    ex.send_row(asks.tag() as usize, 0, &[key]);
+                }
             }
         }
     }
     let replies = ex.finish();
 
     for (part, reply) in left_parts.iter_mut().zip(replies) {
-        let keep: FastSet<Value> = reply.into_iter().map(|r| r[0]).collect();
+        let keep: FastSet<Value> = rows_of(reply, 1).raw().iter().copied().collect();
         *part = part.filter(|row| keep.contains(&row[key_col]));
     }
+}
+
+/// Split a heavy-side round's inbox into the binary rows (tag 0) and
+/// the key set (tag 1) that filters them.
+fn rows_and_keys(inbox: Vec<RowBatch>) -> (Relation, FastSet<Value>) {
+    let [rows, keys] = by_tag(inbox, [2, 1]);
+    (rows, keys.raw().iter().copied().collect())
 }
 
 /// Slide 58: evaluate `R(x) ⋈ S(x,y) ⋈ T(y)` by two semijoin reductions
@@ -178,55 +184,37 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
         let mut cluster = Cluster::new(group);
         let h = HashFamily::new(seed ^ (0x7e47 + i as u64), 2);
         // Round 1: R by h(y), S_c keys by h(y); filter.
-        let mut ex = cluster.exchange::<Tagged>();
+        let mut ex = cluster.exchange::<RowBatch>();
         for part in scatter(r, group) {
             for row in part.iter() {
-                ex.send(h.hash(0, row[1], group), Tagged::new(0, row.to_vec()));
+                ex.send_row(h.hash(0, row[1], group), 0, row);
             }
         }
         for &y in &sc {
-            ex.send(h.hash(0, y, group), Tagged::new(1, vec![y]));
+            ex.send_row(h.hash(0, y, group), 1, &[y]);
         }
-        let inboxes = ex.finish();
-        let filtered: Vec<Vec<Vec<Value>>> = inboxes
+        let filtered: Vec<Relation> = ex
+            .finish()
             .into_iter()
             .map(|inbox| {
-                let mut keys: FastSet<Value> = FastSet::default();
-                let mut rows = Vec::new();
-                for m in inbox {
-                    if m.tag == 1 {
-                        keys.insert(m.row[0]);
-                    } else {
-                        rows.push(m.row);
-                    }
-                }
-                rows.retain(|row| keys.contains(&row[1]));
-                rows
+                let (rows, keys) = rows_and_keys(inbox);
+                rows.filter(|row| keys.contains(&row[1]))
             })
             .collect();
         // Round 2: survivors by h(x), T_c keys by h(x); filter; emit (x,y,c).
-        let mut ex = cluster.exchange::<Tagged>();
+        let mut ex = cluster.exchange::<RowBatch>();
         for rows in &filtered {
             for row in rows {
-                ex.send(h.hash(1, row[0], group), Tagged::new(0, row.clone()));
+                ex.send_row(h.hash(1, row[0], group), 0, row);
             }
         }
         for &x in &tc {
-            ex.send(h.hash(1, x, group), Tagged::new(1, vec![x]));
+            ex.send_row(h.hash(1, x, group), 1, &[x]);
         }
-        let inboxes = ex.finish();
-        for inbox in inboxes {
-            let mut keys: FastSet<Value> = FastSet::default();
-            let mut rows = Vec::new();
-            for m in inbox {
-                if m.tag == 1 {
-                    keys.insert(m.row[0]);
-                } else {
-                    rows.push(m.row);
-                }
-            }
+        for inbox in ex.finish() {
+            let (rows, keys) = rows_and_keys(inbox);
             let mut out = Relation::new(3);
-            for row in rows {
+            for row in &rows {
                 if keys.contains(&row[0]) {
                     out.push(&[row[0], row[1], c]);
                 }

@@ -13,10 +13,10 @@
 //! load is `N / p^{1/τ*}` w.h.p. (slide 40), e.g. `N/p^{2/3}` for the
 //! triangle query (slide 36).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{append_by_tag, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::Relation;
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
 use parqp_query::{evaluate, Query};
 
 /// Run the HyperCube algorithm with LP-optimal integer shares.
@@ -96,7 +96,7 @@ pub fn hypercube_with_shares(
     let h = HashFamily::new(seed, query.num_vars());
 
     let shuffle = trace::span("hypercube/shuffle");
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (j, rel) in rels.iter().enumerate() {
         let atom = &query.atoms()[j];
         for (sid, part) in scatter(rel, grid.len()).into_iter().enumerate() {
@@ -107,7 +107,7 @@ pub fn hypercube_with_shares(
                 for (pos, &v) in atom.vars.iter().enumerate() {
                     partial[v] = Some(h.hash(v, row[pos], shares[v]));
                 }
-                ex.send_matching(&grid, &partial, Tagged::new(j as u32, row.to_vec()));
+                ex.send_row_matching(&grid, &partial, j as u32, row);
             }
         }
     }
@@ -121,9 +121,7 @@ pub fn hypercube_with_shares(
             .iter()
             .map(|a| Relation::new(a.arity()))
             .collect();
-        for t in inbox {
-            fragments[t.tag as usize].push(&t.row);
-        }
+        append_by_tag(inbox, &mut fragments);
         evaluate(query, &fragments)
     });
     drop(evaluate_span);

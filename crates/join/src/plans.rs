@@ -11,10 +11,10 @@
 //! one-round HyperCube and the Yannakakis-style [`crate::gym`] avoid in
 //! their respective regimes.
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{by_tag, scatter, JoinRun};
 use parqp_data::paged::{IoCursor, RouteScan};
 use parqp_data::{FastMap, Relation, Value};
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
 use parqp_query::{Query, Var};
 
 const TAG_LEFT: u32 = 0;
@@ -75,10 +75,7 @@ pub fn binary_join_plan(
     // Intermediate state: distributed rows + their variable schema.
     let first = order[0];
     let mut schema: Vec<Var> = query.atoms()[first].vars.clone();
-    let mut parts: Vec<Vec<Vec<Value>>> = scatter(&rels[first], p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
+    let mut parts: Vec<Relation> = scatter(&rels[first], p);
 
     for &next in &order[1..] {
         let atom = &query.atoms()[next];
@@ -102,10 +99,10 @@ pub fn binary_join_plan(
         let inboxes = if shared_left.is_empty() {
             // Cartesian round on a product grid.
             let _span = trace::span("binary_plan/cartesian");
-            let left_n: usize = parts.iter().map(Vec::len).sum();
+            let left_n: usize = parts.iter().map(Relation::len).sum();
             let (p1, p2) = crate::twoway::product_grid(left_n, rels[next].len(), p);
             let grid = Grid::new(vec![p1, p2]);
-            let mut ex = cluster.exchange::<Tagged>();
+            let mut ex = cluster.exchange::<RowBatch>();
             let mut idx = 0u64;
             for (sid, part) in parts.iter().enumerate() {
                 ex.set_sender(sid);
@@ -117,7 +114,7 @@ pub fn binary_join_plan(
                     let band = (h.digest(0, idx) % p1 as u64) as usize;
                     idx += 1;
                     for dest in grid.matching(&[Some(band), None]) {
-                        ex.send(dest, Tagged::new(TAG_LEFT, row.clone()));
+                        ex.send_row(dest, TAG_LEFT, row);
                     }
                 }
             }
@@ -129,7 +126,7 @@ pub fn binary_join_plan(
                     let band = (h.digest(0, !idx) % p2 as u64) as usize;
                     idx += 1;
                     for dest in grid.matching(&[None, Some(band)]) {
-                        ex.send(dest, Tagged::new(TAG_RIGHT, row.to_vec()));
+                        ex.send_row(dest, TAG_RIGHT, row);
                     }
                 }
             }
@@ -138,14 +135,14 @@ pub fn binary_join_plan(
             boxes
         } else {
             let _span = trace::span("binary_plan/join");
-            let mut ex = cluster.exchange::<Tagged>();
+            let mut ex = cluster.exchange::<RowBatch>();
             for (sid, part) in parts.iter().enumerate() {
                 ex.set_sender(sid);
                 let mut io = IoCursor::new(sid);
                 for row in part {
                     io.read(row.len());
                     let dest = (combined_hash(&h, row, &shared_left) % p as u64) as usize;
-                    ex.send(dest, Tagged::new(TAG_LEFT, row.clone()));
+                    ex.send_row(dest, TAG_LEFT, row);
                 }
             }
             for (sid, part) in right_parts.iter().enumerate() {
@@ -153,36 +150,32 @@ pub fn binary_join_plan(
                 let scan = RouteScan::new(sid, part);
                 for row in scan.iter() {
                     let dest = (combined_hash(&h, row, &shared_right) % p as u64) as usize;
-                    ex.send(dest, Tagged::new(TAG_RIGHT, row.to_vec()));
+                    ex.send_row(dest, TAG_RIGHT, row);
                 }
             }
             ex.finish()
         };
 
         // Local join on the shared variables.
+        let (left_arity, right_arity) = (schema.len(), atom.arity());
         parts = cluster.map(inboxes, |_, inbox| {
-            let mut left_rows = Vec::new();
-            let mut right_rows = Vec::new();
-            for t in inbox {
-                if t.tag == TAG_LEFT {
-                    left_rows.push(t.row);
-                } else {
-                    right_rows.push(t.row);
-                }
-            }
+            let [left_rows, right_rows] = by_tag(inbox, [left_arity, right_arity]);
             let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
             for (i, row) in right_rows.iter().enumerate() {
                 let key: Vec<Value> = shared_right.iter().map(|&pos| row[pos]).collect();
                 table.entry(key).or_default().push(i);
             }
-            let mut out = Vec::new();
+            let mut out = Relation::new(left_arity + fresh_right.len());
+            let mut nrow = Vec::with_capacity(out.arity());
             for lrow in &left_rows {
                 let key: Vec<Value> = shared_left.iter().map(|&i| lrow[i]).collect();
                 if let Some(matches) = table.get(&key) {
                     for &i in matches {
-                        let mut nrow = lrow.clone();
-                        nrow.extend(fresh_right.iter().map(|&pos| right_rows[i][pos]));
-                        out.push(nrow);
+                        let rrow = right_rows.row(i);
+                        nrow.clear();
+                        nrow.extend_from_slice(lrow);
+                        nrow.extend(fresh_right.iter().map(|&pos| rrow[pos]));
+                        out.push(&nrow);
                     }
                 }
             }
@@ -201,20 +194,7 @@ pub fn binary_join_plan(
     for (i, &v) in schema.iter().enumerate() {
         col_of_var[v] = i;
     }
-    let outputs = parts
-        .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (v, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[v]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
-        .collect();
+    let outputs = parts.iter().map(|rows| rows.project(&col_of_var)).collect();
     JoinRun {
         outputs,
         report: cluster.report(),

@@ -22,11 +22,11 @@
 //! bound of slide 47; e.g. `N/p^{1/2}` for the skewed triangle instead of
 //! hash-join's `N` (slides 48–51).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{append_by_tag, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::degree_counts;
 use parqp_data::{FastSet, Relation, Value};
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
 use parqp_query::{evaluate, residual, Query};
 
 /// One heavy/light combination's execution plan.
@@ -150,7 +150,7 @@ pub fn skewhc_with_plans(
 
     // One round: every tuple goes to each compatible combination's grid.
     let shuffle = trace::span("skewhc/shuffle");
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (j, rel) in rels.iter().enumerate() {
         let atom = &query.atoms()[j];
         for (sid, part) in scatter(rel, total_servers).into_iter().enumerate() {
@@ -179,7 +179,7 @@ pub fn skewhc_with_plans(
                         });
                     }
                     for dest in grid.matching(&partial) {
-                        ex.send(plan.offset + dest, Tagged::new(j as u32, row.to_vec()));
+                        ex.send_row(plan.offset + dest, j as u32, row);
                     }
                 }
             }
@@ -197,9 +197,7 @@ pub fn skewhc_with_plans(
                 .iter()
                 .map(|a| Relation::new(a.arity()))
                 .collect();
-            for t in inbox {
-                fragments[t.tag as usize].push(&t.row);
-            }
+            append_by_tag(inbox, &mut fragments);
             evaluate(query, &fragments)
         })
         .collect();

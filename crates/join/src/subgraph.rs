@@ -24,10 +24,10 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{by_tag, scatter, JoinRun};
 use crate::plans::combined_hash;
 use parqp_data::{FastMap, FastSet, Relation, Value};
-use parqp_mpc::{Cluster, HashFamily};
+use parqp_mpc::{Cluster, HashFamily, RowBatch};
 use parqp_query::{Query, Var};
 
 /// Run the expansion join with the default variable order (the first
@@ -82,10 +82,7 @@ pub fn expansion_join_with_order(
 
     // State: distributed bindings with schema `bound`.
     let mut bound: Vec<Var> = query.atoms()[seed_atom].vars.clone();
-    let mut parts: Vec<Vec<Vec<Value>>> = scatter(&dedup(&rels[seed_atom]), p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
+    let mut parts: Vec<Relation> = scatter(&dedup(&rels[seed_atom]), p);
     let mut verified = vec![false; query.num_atoms()];
     verified[seed_atom] = true;
 
@@ -138,13 +135,13 @@ pub fn expansion_join_with_order(
             .iter()
             .map(|sv| bound.iter().position(|x| x == sv).expect("bound"))
             .collect();
-        let mut ex = cluster.exchange::<Tagged>();
+        let mut ex = cluster.exchange::<RowBatch>();
         for part in &parts {
             for b in part {
                 let key: Vec<Value> = bound_pos.iter().map(|&i| b[i]).collect();
                 let dest = (combined_hash(&h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
                     as usize;
-                ex.send(dest, Tagged::new(0, b.clone()));
+                ex.send_row(dest, 0, b);
             }
         }
         for part in scatter(&ext, p) {
@@ -152,31 +149,30 @@ pub fn expansion_join_with_order(
                 let key = &row[..row.len() - 1];
                 let dest = (combined_hash(&h, key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
                     as usize;
-                ex.send(dest, Tagged::new(1, row.to_vec()));
+                ex.send_row(dest, 1, row);
             }
         }
         let inboxes = ex.finish();
+        let width = bound.len();
         parts = inboxes
             .into_iter()
             .map(|inbox| {
-                let mut table: FastMap<Vec<Value>, Vec<Value>> = FastMap::default();
-                let mut bindings = Vec::new();
-                for t in inbox {
-                    if t.tag == 1 {
-                        let (key, val) = t.row.split_at(t.row.len() - 1);
-                        table.entry(key.to_vec()).or_default().push(val[0]);
-                    } else {
-                        bindings.push(t.row);
-                    }
+                let [bindings, extensions] = by_tag(inbox, [width, ext.arity()]);
+                let mut table: FastMap<&[Value], Vec<Value>> = FastMap::default();
+                for row in &extensions {
+                    let (key, val) = row.split_at(row.len() - 1);
+                    table.entry(key).or_default().extend_from_slice(val);
                 }
-                let mut out = Vec::new();
-                for b in bindings {
+                let mut out = Relation::new(width + 1);
+                let mut nb = Vec::with_capacity(width + 1);
+                for b in &bindings {
                     let key: Vec<Value> = bound_pos.iter().map(|&i| b[i]).collect();
-                    if let Some(vals) = table.get(&key) {
+                    if let Some(vals) = table.get(key.as_slice()) {
                         for &val in vals {
-                            let mut nb = b.clone();
+                            nb.clear();
+                            nb.extend_from_slice(b);
                             nb.push(val);
-                            out.push(nb);
+                            out.push(&nb);
                         }
                     }
                 }
@@ -198,40 +194,33 @@ pub fn expansion_join_with_order(
                 .map(|fv| bound.iter().position(|x| x == fv).expect("fully bound"))
                 .collect();
             let filt = dedup(&rels[j]);
-            let mut ex = cluster.exchange::<Tagged>();
+            let mut ex = cluster.exchange::<RowBatch>();
             for part in &parts {
                 for b in part {
                     let key: Vec<Value> = bpos.iter().map(|&i| b[i]).collect();
                     let dest = (combined_hash(&h, &key, &(0..key.len()).collect::<Vec<_>>())
                         % p as u64) as usize;
-                    ex.send(dest, Tagged::new(0, b.clone()));
+                    ex.send_row(dest, 0, b);
                 }
             }
             for part in scatter(&filt, p) {
                 for row in part.iter() {
                     let dest = (combined_hash(&h, row, &(0..row.len()).collect::<Vec<_>>())
                         % p as u64) as usize;
-                    ex.send(dest, Tagged::new(1, row.to_vec()));
+                    ex.send_row(dest, 1, row);
                 }
             }
             let inboxes = ex.finish();
+            let width = bound.len();
             parts = inboxes
                 .into_iter()
                 .map(|inbox| {
-                    let mut members: FastSet<Vec<Value>> = FastSet::default();
-                    let mut bindings = Vec::new();
-                    for t in inbox {
-                        if t.tag == 1 {
-                            members.insert(t.row);
-                        } else {
-                            bindings.push(t.row);
-                        }
-                    }
-                    bindings.retain(|b| {
+                    let [bindings, filter] = by_tag(inbox, [width, filt.arity()]);
+                    let members: FastSet<&[Value]> = filter.iter().collect();
+                    bindings.filter(|b| {
                         let key: Vec<Value> = bpos.iter().map(|&i| b[i]).collect();
-                        members.contains(&key)
-                    });
-                    bindings
+                        members.contains(key.as_slice())
+                    })
                 })
                 .collect();
         }
@@ -243,20 +232,7 @@ pub fn expansion_join_with_order(
     for (i, &x) in bound.iter().enumerate() {
         col_of_var[x] = i;
     }
-    let outputs = parts
-        .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (x, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[x]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
-        .collect();
+    let outputs = parts.iter().map(|rows| rows.project(&col_of_var)).collect();
     JoinRun {
         outputs,
         report: cluster.report(),

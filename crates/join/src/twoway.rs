@@ -11,11 +11,11 @@
 //! Output convention: a joined row is the full `R` row followed by the
 //! `S` row minus its join column ([`crate::common::merge_rows`]).
 
-use crate::common::{joined_arity, local_hash_join, merge_rows, scatter, JoinRun, Tagged};
+use crate::common::{by_tag, joined_arity, local_hash_join, merge_rows, rows_of, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
-use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, Weight};
+use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, RowBatch, Weight};
 
 const TAG_R: u32 = 0;
 const TAG_S: u32 = 1;
@@ -59,26 +59,27 @@ pub fn hash_join(
     }
 
     let _span = trace::span("hash_join/partition");
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.send(h.hash(0, row[r_col], p), Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row(h.hash(0, row[r_col], p), TAG_R, row);
         }
     }
     for (sid, part) in s_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.send(h.hash(0, row[s_col], p), Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row(h.hash(0, row[s_col], p), TAG_S, row);
         }
     }
     let inboxes = ex.finish();
 
-    let arity = joined_arity(r.arity(), s.arity());
+    let (r_arity, s_arity) = (r.arity(), s.arity());
+    let arity = joined_arity(r_arity, s_arity);
     let outputs = cluster.map(inboxes, |_, inbox| {
-        let (r_rows, s_rows) = split_tags(inbox);
+        let [r_rows, s_rows] = by_tag(inbox, [r_arity, s_arity]);
         let mut out = Relation::new(arity);
         local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
         out
@@ -108,22 +109,24 @@ pub fn broadcast_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p:
     }
 
     let _span = trace::span("broadcast_join/replicate");
-    let mut ex = cluster.exchange::<Vec<Value>>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.broadcast(row.to_vec());
+            for dest in 0..p {
+                ex.send_row(dest, TAG_R, row);
+            }
         }
     }
     let inboxes = ex.finish();
 
+    let r_arity = r.arity();
     let arity = joined_arity(r.arity(), s.arity());
     let work: Vec<_> = inboxes.into_iter().zip(s_parts).collect();
-    let outputs = cluster.map(work, |_, (r_rows, s_part)| {
-        let s_rows: Vec<Vec<Value>> = s_part.iter().map(<[Value]>::to_vec).collect();
+    let outputs = cluster.map(work, |_, (inbox, s_part)| {
         let mut out = Relation::new(arity);
-        local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
+        local_hash_join(&rows_of(inbox, r_arity), r_col, &s_part, s_col, &mut out);
         out
     });
     JoinRun {
@@ -181,7 +184,7 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
     }
 
     let _span = trace::span("cartesian/scatter");
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange::<RowBatch>();
     let mut index = 0u64;
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
@@ -189,7 +192,7 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(0, index, p1);
             index += 1;
-            ex.send_matching(&grid, &[Some(band), None], Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row_matching(&grid, &[Some(band), None], TAG_R, row);
         }
     }
     index = 0;
@@ -199,15 +202,15 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(1, index, p2);
             index += 1;
-            ex.send_matching(&grid, &[None, Some(band)], Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row_matching(&grid, &[None, Some(band)], TAG_S, row);
         }
     }
     let inboxes = ex.finish();
 
-    let arity = r.arity() + s.arity();
+    let (r_arity, s_arity) = (r.arity(), s.arity());
     let outputs = cluster.map(inboxes, |_, inbox| {
-        let (r_rows, s_rows) = split_tags(inbox);
-        let mut out = Relation::new(arity);
+        let [r_rows, s_rows] = by_tag(inbox, [r_arity, s_arity]);
+        let mut out = Relation::new(r_arity + s_arity);
         let mut buf = Vec::new();
         for a in &r_rows {
             for b in &s_rows {
@@ -426,7 +429,8 @@ pub fn sort_merge_join(
     // agree on the *size-aware* grid for every crossing key (a crossing
     // key is the min or max of each of its holders).
     let boundary_span = trace::span("sort_merge/boundaries");
-    let mut ex = cluster.exchange::<Vec<u64>>();
+    const SPAN_WIDTH: usize = 7;
+    let mut ex = cluster.exchange::<RowBatch>();
     for (sid, part) in parts.iter().enumerate() {
         ex.set_sender(sid);
         if let (Some(first), Some(last)) = (part.first(), part.last()) {
@@ -435,7 +439,7 @@ pub fn sort_merge_join(
                     .filter(|it| it.key == key && it.tag == tag)
                     .count() as u64
             };
-            ex.broadcast(vec![
+            let span: [u64; SPAN_WIDTH] = [
                 sid as u64,
                 first.key,
                 last.key,
@@ -443,18 +447,24 @@ pub fn sort_merge_join(
                 count(first.key, TAG_S),
                 count(last.key, TAG_R),
                 count(last.key, TAG_S),
-            ]);
+            ];
+            for dest in 0..p {
+                ex.send_row(dest, 0, &span);
+            }
         }
     }
-    let spans_raw = ex.finish();
+    let reports = rows_of(
+        ex.finish().into_iter().next().unwrap_or_default(),
+        SPAN_WIDTH,
+    );
     drop(boundary_span);
-    let spans: Vec<(usize, Value, Value)> = spans_raw[0]
+    let spans: Vec<(usize, Value, Value)> = reports
         .iter()
         .map(|m| (m[0] as usize, m[1], m[2]))
         .collect();
     // Global per-candidate-key (r, s) counts from the boundary reports.
     let mut key_counts: parqp_data::FastMap<Value, (usize, usize)> = parqp_data::FastMap::default();
-    for m in &spans_raw[0] {
+    for m in &reports {
         let (first, last) = (m[1], m[2]);
         let e = key_counts.entry(first).or_insert((0, 0));
         e.0 += m[3] as usize;
@@ -491,7 +501,7 @@ pub fn sort_merge_join(
     // Redistribution round: rows of crossing keys go to a grid inside the
     // key's holder range; everything else joins locally, no communication.
     let _span = trace::span("sort_merge/crossing");
-    let mut ex = cluster.exchange::<SortItem>();
+    let mut ex = cluster.exchange::<RowBatch>();
     for (sid, part) in parts.iter().enumerate() {
         ex.set_sender(sid);
         let mut io = parqp_data::paged::IoCursor::new(sid);
@@ -511,42 +521,39 @@ pub fn sort_merge_join(
             if item.tag == TAG_R {
                 let band = (item.tie % p1 as u64) as usize;
                 for col in 0..p2 {
-                    ex.send(holders[band * p2 + col], item.clone());
+                    ex.send_row(holders[band * p2 + col], TAG_R, &item.row);
                 }
             } else {
                 let band = (item.tie % p2 as u64) as usize;
                 for rowb in 0..p1 {
-                    ex.send(holders[rowb * p2 + band], item.clone());
+                    ex.send_row(holders[rowb * p2 + band], TAG_S, &item.row);
                 }
             }
         }
     }
     let redist = ex.finish();
 
-    let out_arity = joined_arity(r.arity(), s.arity());
+    let (r_arity, s_arity) = (r.arity(), s.arity());
     let work: Vec<_> = parts.into_iter().zip(redist).collect();
     let outputs = cluster.map(work, |_, (part, extra)| {
-        let mut out = Relation::new(out_arity);
+        let mut out = Relation::new(joined_arity(r_arity, s_arity));
         // Local phase: non-crossing keys, matched within the sorted run.
-        let local_r: Vec<Vec<Value>> = part
-            .iter()
-            .filter(|it| it.tag == TAG_R && !crossing_keys.contains(&it.key))
-            .map(|it| it.row.clone())
-            .collect();
-        let local_s: Vec<Vec<Value>> = part
-            .iter()
-            .filter(|it| it.tag == TAG_S && !crossing_keys.contains(&it.key))
-            .map(|it| it.row.clone())
-            .collect();
+        let (mut local_r, mut local_s) = (Relation::new(r_arity), Relation::new(s_arity));
+        for it in part.iter().filter(|it| !crossing_keys.contains(&it.key)) {
+            if it.tag == TAG_R {
+                local_r.push(&it.row);
+            } else {
+                local_s.push(&it.row);
+            }
+        }
         local_hash_join(&local_r, r_col, &local_s, s_col, &mut out);
         // Crossing phase: Cartesian within each key.
-        let cr: Vec<&SortItem> = extra.iter().filter(|it| it.tag == TAG_R).collect();
-        let cs: Vec<&SortItem> = extra.iter().filter(|it| it.tag == TAG_S).collect();
+        let [cr, cs] = by_tag(extra, [r_arity, s_arity]);
         let mut buf = Vec::new();
         for a in &cr {
             for b in &cs {
-                if a.key == b.key {
-                    merge_rows(&a.row, &b.row, s_col, &mut buf);
+                if a[r_col] == b[s_col] {
+                    merge_rows(a, b, s_col, &mut buf);
                     out.push(&buf);
                 }
             }
@@ -563,19 +570,6 @@ pub fn sort_merge_join(
 /// loads against `√(OUT/p)`.
 pub fn output_size(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> u64 {
     join_output_size(r, r_col, s, s_col)
-}
-
-fn split_tags(inbox: Vec<Tagged>) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let mut r_rows = Vec::new();
-    let mut s_rows = Vec::new();
-    for t in inbox {
-        if t.tag == TAG_R {
-            r_rows.push(t.row);
-        } else {
-            s_rows.push(t.row);
-        }
-    }
-    (r_rows, s_rows)
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 //! server for the current round, producing the `(L, r, C)` cost summary
 //! that the paper's theorems are about.
 
+use crate::batch::RowBatch;
 use crate::error::MpcError;
 use crate::grid::Grid;
 use crate::stats::{LoadReport, RoundStats};
@@ -56,10 +57,7 @@ impl Cluster {
     /// # Panics
     /// Panics if `p == 0`; use [`Cluster::try_new`] to handle that case.
     pub fn new(p: usize) -> Self {
-        match Self::try_new(p) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_new(p).unwrap_or_else(|e| fail(e))
     }
 
     /// Fallible [`Cluster::new`]: errors on an empty cluster instead of
@@ -197,7 +195,7 @@ impl Cluster {
     /// [`Cluster::try_record_round`] to handle that case.
     pub fn record_round(&mut self, tuples: Vec<u64>, words: Vec<u64>) {
         if let Err(e) = self.try_record_round(tuples, words) {
-            panic!("{e}");
+            fail(e);
         }
     }
 
@@ -491,6 +489,13 @@ impl Cluster {
     }
 }
 
+/// The one panic site behind the cluster's panicking wrappers: each
+/// re-raises its `try_*` sibling's typed error.
+#[cold]
+fn fail(e: MpcError) -> ! {
+    panic!("{e}")
+}
+
 /// One fault scheduled for the round being recorded, with the batch
 /// (tuples, words) its drop/duplicate injection affects — resolved
 /// from real inboxes by [`Exchange::finish`], proportionally by
@@ -636,7 +641,7 @@ impl<T: Weight> Exchange<'_, T> {
     #[inline]
     pub fn send(&mut self, dest: usize, msg: T) {
         if let Err(e) = self.try_send(dest, msg) {
-            panic!("{e}");
+            fail(e);
         }
     }
 
@@ -655,17 +660,24 @@ impl<T: Weight> Exchange<'_, T> {
                 p: self.cluster.p,
             });
         };
-        let w = msg.words();
-        self.tuples[dest] += 1;
-        self.words[dest] += w;
+        let (t, w) = (msg.tuples(), msg.words());
         inbox.push(msg);
+        self.charge(dest, t, w);
+        Ok(())
+    }
+
+    /// Charge `tuples` / `words` to `dest` (in range by the caller's
+    /// probe), and to the attributed sender when a trace is recording.
+    #[inline]
+    fn charge(&mut self, dest: usize, tuples: u64, words: u64) {
+        self.tuples[dest] += tuples;
+        self.words[dest] += words;
         if let Some(tr) = &mut self.trace {
             if let Some(s) = tr.sender {
-                tr.sent_msgs[s] += 1;
-                tr.sent_words[s] += w;
+                tr.sent_msgs[s] += tuples;
+                tr.sent_words[s] += words;
             }
         }
-        Ok(())
     }
 
     /// Declare that subsequent sends originate from server `sender`, for
@@ -698,14 +710,19 @@ impl<T: Weight> Exchange<'_, T> {
     where
         T: Clone,
     {
+        self.note_grid(grid);
+        for dest in grid.matching(partial) {
+            self.send(dest, msg.clone());
+        }
+    }
+
+    /// Record the grid a round routes over, for the trace's `Topology`.
+    fn note_grid(&mut self, grid: &Grid) {
         debug_assert_eq!(grid.len(), self.cluster.p, "grid does not span the cluster");
         if let Some(tr) = &mut self.trace {
             if tr.dims.is_none() {
                 tr.dims = Some(grid.dims().to_vec());
             }
-        }
-        for dest in grid.matching(partial) {
-            self.send(dest, msg.clone());
         }
     }
 
@@ -732,24 +749,16 @@ impl<T: Weight> Exchange<'_, T> {
             trace: tr,
         } = self;
         let planned = if faults::is_enabled() {
-            // Drop/duplicate batches resolve against real inboxes:
-            // drops lose the *last* messages delivered, duplicates
-            // re-deliver the *first*, each at exact message weights.
+            // Drop/duplicate batches resolve against real inboxes, per
+            // tuple: drops lose the *last* tuples delivered, duplicates
+            // re-deliver the *first*, each at its exact width.
             faults::next_round_faults(cluster.p)
                 .into_iter()
                 .map(|(server, kind)| {
-                    let inbox = &inboxes[server];
+                    let inbox = inboxes.get(server).map_or(&[][..], Vec::as_slice);
                     let batch = match kind {
-                        FaultKind::Drop { msgs } => {
-                            let eff = (msgs as usize).min(inbox.len());
-                            let w = inbox[inbox.len() - eff..].iter().map(Weight::words).sum();
-                            (eff as u64, w)
-                        }
-                        FaultKind::Duplicate { msgs } => {
-                            let eff = (msgs as usize).min(inbox.len());
-                            let w = inbox[..eff].iter().map(Weight::words).sum();
-                            (eff as u64, w)
-                        }
+                        FaultKind::Drop { msgs } => resolve_batch(inbox.iter().rev(), msgs),
+                        FaultKind::Duplicate { msgs } => resolve_batch(inbox.iter(), msgs),
                         _ => (0, 0),
                     };
                     PlannedFault {
@@ -772,6 +781,79 @@ impl<T: Weight> Exchange<'_, T> {
     /// physical round).
     pub fn finish_untracked(self) -> Vec<Vec<T>> {
         self.inboxes
+    }
+}
+
+/// The `(tuples, words)` of the first `k` tuples of `msgs` (capped at
+/// what they hold), splitting a multi-tuple message at a tuple boundary.
+fn resolve_batch<'a, T: Weight + 'a>(msgs: impl Iterator<Item = &'a T>, k: u64) -> (u64, u64) {
+    let (mut tuples, mut words) = (0, 0);
+    for m in msgs {
+        if tuples == k {
+            break;
+        }
+        let take = (k - tuples).min(m.tuples());
+        tuples += take;
+        words += m.words_of(take);
+    }
+    (tuples, words)
+}
+
+impl Exchange<'_, RowBatch> {
+    /// Send one row, tagged `tag`, to server `dest`: it is appended to
+    /// the destination's trailing batch, and a new batch opens only when
+    /// the tag or the arity changes, so the inbox's rows stay in send
+    /// order. Charges one tuple and `row.len()` words, like a per-row
+    /// message.
+    ///
+    /// # Panics
+    /// Panics if `dest` is not a valid server rank or `row` is empty;
+    /// use [`Exchange::try_send_row`] to handle those cases.
+    #[inline]
+    pub fn send_row(&mut self, dest: usize, tag: u32, row: &[u64]) {
+        if let Err(e) = self.try_send_row(dest, tag, row) {
+            fail(e);
+        }
+    }
+
+    /// Fallible [`Exchange::send_row`]: errors on an out-of-range
+    /// destination or an empty row, charging nothing.
+    #[inline]
+    #[must_use = "an Err means the row was NOT sent or charged"]
+    pub fn try_send_row(&mut self, dest: usize, tag: u32, row: &[u64]) -> Result<(), MpcError> {
+        let p = self.cluster.p;
+        let Some(inbox) = self.inboxes.get_mut(dest) else {
+            return Err(MpcError::BadServer { dest, p });
+        };
+        if row.is_empty() {
+            return Err(MpcError::EmptyRow { dest });
+        }
+        match inbox.last_mut() {
+            Some(b) if b.tag == tag && b.arity == row.len() => b.data.extend_from_slice(row),
+            _ => inbox.push(RowBatch {
+                tag,
+                arity: row.len(),
+                data: row.to_vec(),
+            }),
+        }
+        self.charge(dest, 1, row.len() as u64);
+        Ok(())
+    }
+
+    /// [`Exchange::send_row`] to every server of `grid` whose
+    /// coordinates match `partial` (`None` = `*`): the row-batch twin
+    /// of [`Exchange::send_matching`].
+    pub fn send_row_matching(
+        &mut self,
+        grid: &Grid,
+        partial: &[Option<usize>],
+        tag: u32,
+        row: &[u64],
+    ) {
+        self.note_grid(grid);
+        for dest in grid.matching(partial) {
+            self.send_row(dest, tag, row);
+        }
     }
 }
 
@@ -1326,6 +1408,72 @@ mod tests {
             assert_eq!(begins, ends);
         }
 
+        /// s0 receives R rows (arity 2) [1,2] [3,4] then S rows
+        /// (arity 3) [5,6,7] [8,9,10] [11,12,13]: two batches, 5 tuples,
+        /// 13 words. s1 receives one R row.
+        fn straddled_round(c: &mut Cluster) -> Vec<Vec<RowBatch>> {
+            let mut ex = c.exchange::<RowBatch>();
+            ex.send_row(0, 0, &[1, 2]);
+            ex.send_row(1, 0, &[0, 0]);
+            ex.send_row(0, 0, &[3, 4]);
+            ex.send_row(0, 1, &[5, 6, 7]);
+            ex.send_row(0, 1, &[8, 9, 10]);
+            ex.send_row(0, 1, &[11, 12, 13]);
+            ex.finish()
+        }
+
+        fn straddled(kind: FaultKind) -> (FaultLog, LoadReport) {
+            let plan = FaultPlan::new().with_fault(0, 0, kind);
+            capture(plan, RecoveryStrategy::default(), || {
+                let mut c = Cluster::new(2);
+                straddled_round(&mut c);
+                c.report()
+            })
+        }
+
+        #[test]
+        fn row_batch_drop_straddles_runs_per_tuple() {
+            // The last 4 tuples: 3 S rows (9 words) + the last R row (2).
+            let (log, report) = straddled(FaultKind::Drop { msgs: 4 });
+            assert_eq!(report.rounds[0].tuples, vec![5, 1]);
+            assert_eq!(report.rounds[0].words, vec![13, 2]);
+            assert_eq!(report.rounds[1].tuples, vec![4, 0]);
+            assert_eq!(report.rounds[1].words, vec![11, 0]);
+            assert_eq!(log.recovery_rounds, 1);
+            assert_eq!((log.recovery_tuples, log.recovery_words), (4, 11));
+        }
+
+        #[test]
+        fn row_batch_duplicate_straddles_runs_per_tuple() {
+            // The first 3 tuples: both R rows (4 words) + one S row (3).
+            let (log, report) = straddled(FaultKind::Duplicate { msgs: 3 });
+            assert_eq!(report.num_rounds(), 1);
+            assert_eq!(report.rounds[0].tuples, vec![8, 1]);
+            assert_eq!(report.rounds[0].words, vec![20, 2]);
+            assert_eq!(log.recovery_rounds, 0);
+            assert_eq!((log.recovery_tuples, log.recovery_words), (3, 7));
+        }
+
+        #[test]
+        fn row_batch_fault_batches_cap_at_the_inbox() {
+            let (log, _) = straddled(FaultKind::Drop { msgs: 50 });
+            assert_eq!((log.recovery_tuples, log.recovery_words), (5, 13));
+            let (log, _) = straddled(FaultKind::Duplicate { msgs: 50 });
+            assert_eq!((log.recovery_tuples, log.recovery_words), (5, 13));
+        }
+
+        #[test]
+        fn row_batch_faults_never_alter_delivered_rows() {
+            let clean = straddled_round(&mut Cluster::new(2));
+            let plan = FaultPlan::new()
+                .with_fault(0, 0, FaultKind::Drop { msgs: 4 })
+                .with_fault(0, 1, FaultKind::Duplicate { msgs: 1 });
+            let (_, faulty) = capture(plan, RecoveryStrategy::default(), || {
+                straddled_round(&mut Cluster::new(2))
+            });
+            assert_eq!(clean, faulty);
+        }
+
         #[test]
         fn fault_free_plan_is_invisible() {
             let clean = {
@@ -1337,6 +1485,90 @@ mod tests {
             assert_eq!(clean, faulted);
             assert_eq!(log, FaultLog::default());
         }
+    }
+
+    #[test]
+    fn send_row_charges_one_tuple_and_its_width_per_row() {
+        let mut c = Cluster::new(3);
+        let mut ex = c.exchange::<RowBatch>();
+        ex.send_row(0, 0, &[1, 2]);
+        ex.send_row(0, 0, &[3, 4]);
+        ex.send_row(2, 1, &[5, 6, 7]);
+        ex.send_row(0, 1, &[8]);
+        let inboxes = ex.finish();
+        assert_eq!(inboxes[0].len(), 2, "a tag switch opens a batch");
+        let r = c.report();
+        assert_eq!(r.rounds[0].tuples, vec![3, 0, 1]);
+        assert_eq!(r.rounds[0].words, vec![5, 0, 3]);
+    }
+
+    #[test]
+    fn send_row_inbox_order_is_send_order_across_tag_switches() {
+        let mut c = Cluster::new(2);
+        let mut ex = c.exchange::<RowBatch>();
+        let sent: [(u32, &[u64]); 6] = [
+            (0, &[1, 1]),
+            (0, &[2, 2]),
+            (1, &[3, 3, 3]),
+            (0, &[4, 4]),
+            (0, &[5, 5]),
+            (1, &[6, 6, 6]),
+        ];
+        for (tag, row) in sent {
+            ex.send_row(1, tag, row);
+        }
+        let inboxes = ex.finish();
+        assert!(inboxes[0].is_empty());
+        let tags: Vec<u32> = inboxes[1].iter().map(|b| b.tag).collect();
+        assert_eq!(tags, vec![0, 1, 0, 1], "batches open only on tag switches");
+        let received: Vec<(u32, &[u64])> = inboxes[1]
+            .iter()
+            .flat_map(|b| b.values().chunks(b.arity()).map(move |row| (b.tag(), row)))
+            .collect();
+        assert_eq!(received, sent.to_vec());
+    }
+
+    #[test]
+    fn send_row_matching_uses_grid_and_carries_topology() {
+        use parqp_trace::{Recorder, TraceEvent};
+        let g = Grid::new(vec![2, 3]);
+        let (rec, inboxes) = Recorder::capture(|| {
+            let mut c = Cluster::new(6);
+            let mut ex = c.exchange::<RowBatch>();
+            ex.set_sender(4);
+            ex.send_row_matching(&g, &[Some(1), None], 7, &[9, 9]);
+            ex.finish()
+        });
+        let received: Vec<usize> = (0..6).filter(|&s| !inboxes[s].is_empty()).collect();
+        assert_eq!(received, g.matching(&[Some(1), None]));
+        assert!(rec.events().any(|e| matches!(
+            e,
+            TraceEvent::Topology { round: 0, dims } if dims == &vec![2, 3]
+        )));
+        assert!(rec.events().any(|e| e
+            == &TraceEvent::Send {
+                round: 0,
+                server: 4,
+                msgs: 3,
+                words: 6
+            }));
+    }
+
+    #[test]
+    fn try_send_row_rejects_bad_servers_and_empty_rows_uncharged() {
+        let mut c = Cluster::new(2);
+        let mut ex = c.exchange::<RowBatch>();
+        assert_eq!(
+            ex.try_send_row(2, 0, &[1]),
+            Err(crate::error::MpcError::BadServer { dest: 2, p: 2 })
+        );
+        assert_eq!(
+            ex.try_send_row(1, 0, &[]),
+            Err(crate::error::MpcError::EmptyRow { dest: 1 })
+        );
+        assert_eq!(ex.try_send_row(1, 0, &[4]), Ok(()));
+        ex.finish();
+        assert_eq!(c.report().total_tuples(), 1);
     }
 
     #[test]

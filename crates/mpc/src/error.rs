@@ -21,6 +21,8 @@ pub enum MpcError {
     },
     /// A message was addressed to a server rank outside `0..p`.
     BadServer { dest: usize, p: usize },
+    /// A row with no values was sent as a row-batch message.
+    EmptyRow { dest: usize },
     /// A coordinate vector had the wrong number of dimensions.
     BadArity { got: usize, expected: usize },
     /// A coordinate exceeded its dimension's size.
@@ -42,6 +44,12 @@ impl std::fmt::Display for MpcError {
                 write!(
                     f,
                     "destination server {dest} out of range for cluster of {p}"
+                )
+            }
+            MpcError::EmptyRow { dest } => {
+                write!(
+                    f,
+                    "empty row sent to server {dest}: rows need at least one value"
                 )
             }
             MpcError::BadArity { got, expected } => {

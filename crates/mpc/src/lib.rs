@@ -23,6 +23,8 @@
 //! ## Modules
 //!
 //! * [`cluster`] — the cluster, exchanges, and round accounting;
+//! * [`batch`] — [`RowBatch`], the flat, arity-strided wire format for
+//!   relation tuples ([`Exchange::send_row`]);
 //! * [`error`] — typed invariant violations ([`MpcError`]); every
 //!   panicking entry point has a `try_*` sibling returning these;
 //! * [`exec`] — serial vs parallel local compute ([`ExecMode`]):
@@ -34,7 +36,7 @@
 //! * [`grid`] — `p₁ × … × p_k` hypercube topologies with `*`-broadcast
 //!   (the HyperCube algorithm's addressing primitive, slide 35);
 //! * [`hash`] — a seeded family of independent hash functions;
-//! * [`weight`] — how many words a message counts for;
+//! * [`weight`] — how many tuples and words a message counts for;
 //! * [`trace`] — re-export of `parqp-trace`: install a
 //!   [`trace::Recorder`] (e.g. via [`trace::Recorder::capture`]) and
 //!   every recorded round also emits structured [`trace::TraceEvent`]s
@@ -52,6 +54,7 @@
 //!   `RecoveryBegin`/`RecoveryEnd` trace events. Only this crate calls
 //!   the fault-runtime round hooks (lint rule PQ106).
 
+pub mod batch;
 pub mod cluster;
 pub mod error;
 pub mod exec;
@@ -65,6 +68,7 @@ pub use parqp_metrics as metrics;
 pub use parqp_store as store;
 pub use parqp_trace as trace;
 
+pub use batch::RowBatch;
 pub use cluster::{Cluster, Exchange};
 pub use error::MpcError;
 pub use exec::ExecMode;

@@ -3,13 +3,33 @@
 //! The paper measures load in tuples; when relations have different arities
 //! it is fairer to also measure words (one word per attribute value). Every
 //! message type exchanged through the simulator implements [`Weight`]; the
-//! cluster records both the tuple count (one per message) and the word
-//! count (the sum of [`Weight::words`]).
+//! cluster records both the tuple count ([`Weight::tuples`]: one per
+//! message, except for a [`RowBatch`](crate::RowBatch), which counts its
+//! rows) and the word count (the sum of [`Weight::words`]).
 
-/// Number of machine words a message occupies on the wire.
+/// Number of tuples and machine words a message occupies on the wire.
 pub trait Weight {
     /// The number of words this message counts for in the word-load metric.
     fn words(&self) -> u64;
+
+    /// The number of tuples this message counts for in the tuple-load
+    /// metric: 1 for every single-tuple message.
+    #[inline]
+    fn tuples(&self) -> u64 {
+        1
+    }
+
+    /// The words carried by `k` of this message's tuples (`k` is capped
+    /// at [`Weight::tuples`]): fault injection resolves dropped and
+    /// duplicated batches per tuple through this.
+    #[inline]
+    fn words_of(&self, k: u64) -> u64 {
+        if k == 0 {
+            0
+        } else {
+            self.words()
+        }
+    }
 }
 
 impl Weight for u64 {
@@ -86,6 +106,15 @@ mod tests {
         assert_eq!([1u64, 2, 3, 4].words(), 4);
         let b: Box<[u64]> = vec![5, 6].into_boxed_slice();
         assert_eq!(b.words(), 2);
+    }
+
+    #[test]
+    fn single_tuple_messages_resolve_whole() {
+        let m = vec![1u64, 2, 3];
+        assert_eq!(m.tuples(), 1);
+        assert_eq!(m.words_of(0), 0);
+        assert_eq!(m.words_of(1), 3);
+        assert_eq!(m.words_of(5), 3);
     }
 
     #[test]

@@ -160,3 +160,27 @@ fn hypercube_speedup_curve_shape() {
         );
     }
 }
+
+#[test]
+fn cli_rejects_a_data_file_narrower_than_its_atom_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("parqp_arity_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let file = dir.join("two_cols.csv");
+    std::fs::write(&file, "1,2\n3,4\n").expect("write data");
+    for cmd in ["run", "plan"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_parqp"))
+            .args([cmd, "--query", "Q(x,y,z) :- R(x,y,z)", "--data"])
+            .arg(&file)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: stderr {stderr}");
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{cmd}: one-line error, got {stderr}"
+        );
+        assert!(stderr.contains("atom R has arity 3"), "{cmd}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
