@@ -15,7 +15,7 @@
 
 use crate::planner::plan_and_run;
 use parqp_data::{FastMap, Relation, Value};
-use parqp_mpc::{Cluster, HashFamily, LoadReport, Weight};
+use parqp_mpc::{Cluster, HashFamily, LoadReport, RowBatch};
 use parqp_query::{Query, Var};
 
 /// The aggregate applied per group.
@@ -71,19 +71,6 @@ impl AggregateQuery {
     }
 }
 
-/// One aggregation message: group key values plus a partial aggregate.
-#[derive(Debug, Clone)]
-struct Partial {
-    key: Vec<Value>,
-    agg: u64,
-}
-
-impl Weight for Partial {
-    fn words(&self) -> u64 {
-        self.key.len() as u64 + 1
-    }
-}
-
 /// Result of running an [`AggregateQuery`].
 #[derive(Debug, Clone)]
 pub struct AggregateRun {
@@ -112,24 +99,21 @@ pub fn run_aggregate(aq: &AggregateQuery, rels: &[Relation], p: usize, seed: u64
     let (decision, join_run) = plan_and_run(&aq.join, rels, p, seed);
 
     // Aggregation round over the join's *distributed* outputs: local
-    // pre-aggregation, then one partial per (server, group).
+    // pre-aggregation, then one partial per (server, group), shipped as
+    // a row `key ++ agg` (1 tuple, `key.len() + 1` words).
     let mut cluster = Cluster::new(join_run.outputs.len());
     let h = HashFamily::new(seed ^ 0xa66, 1);
     let pn = cluster.p();
-    let mut ex = cluster.exchange::<Partial>();
+    let width = aq.output_arity();
+    let mut ex = cluster.exchange::<RowBatch>();
+    let mut partial = Vec::with_capacity(width);
     for fragment in &join_run.outputs {
-        let mut local: FastMap<Vec<Value>, u64> = FastMap::default();
-        for row in fragment.iter() {
-            let key: Vec<Value> = aq.group_by.iter().map(|&v| row[v]).collect();
-            let inc = match aq.agg {
-                Agg::Count => 1,
-                Agg::Sum(v) => row[v],
-            };
-            *local.entry(key).or_insert(0) += inc;
-        }
-        for (key, agg) in local {
+        for (key, agg) in group(aq, fragment) {
             let dest = h.hash(0, key_digest(&key), pn);
-            ex.send(dest, Partial { key, agg });
+            partial.clear();
+            partial.extend_from_slice(&key);
+            partial.push(agg);
+            ex.send_row(dest, 0, &partial);
         }
     }
     let inboxes = ex.finish();
@@ -138,18 +122,12 @@ pub fn run_aggregate(aq: &AggregateQuery, rels: &[Relation], p: usize, seed: u64
         .into_iter()
         .map(|inbox| {
             let mut acc: FastMap<Vec<Value>, u64> = FastMap::default();
-            for m in inbox {
-                *acc.entry(m.key).or_insert(0) += m.agg;
+            for row in inbox.iter().flat_map(|b| b.values().chunks_exact(width)) {
+                if let Some((&agg, key)) = row.split_last() {
+                    add(&mut acc, key, agg);
+                }
             }
-            let mut rows: Vec<Vec<Value>> = acc
-                .into_iter()
-                .map(|(mut key, agg)| {
-                    key.push(agg);
-                    key
-                })
-                .collect();
-            rows.sort_unstable();
-            Relation::from_rows(aq.output_arity(), rows)
+            to_sorted_relation(width, acc)
         })
         .collect();
 
@@ -168,27 +146,50 @@ fn key_digest(key: &[Value]) -> u64 {
     })
 }
 
-/// Serial oracle: evaluate the join, aggregate in a hash map.
-pub fn aggregate_oracle(aq: &AggregateQuery, rels: &[Relation]) -> Relation {
-    let joined = parqp_query::evaluate(&aq.join, rels);
-    let mut acc: FastMap<Vec<Value>, u64> = FastMap::default();
-    for row in joined.iter() {
-        let key: Vec<Value> = aq.group_by.iter().map(|&v| row[v]).collect();
+/// Add `inc` to `key`'s group, probing with the borrowed key and
+/// allocating an owned one only on the group's first row.
+fn add(groups: &mut FastMap<Vec<Value>, u64>, key: &[Value], inc: u64) {
+    match groups.get_mut(key) {
+        Some(agg) => *agg += inc,
+        None => {
+            groups.insert(key.to_vec(), inc);
+        }
+    }
+}
+
+/// Group the rows of `rel` (over all query variables) by `aq.group_by`
+/// and aggregate each group.
+fn group(aq: &AggregateQuery, rel: &Relation) -> FastMap<Vec<Value>, u64> {
+    let mut groups: FastMap<Vec<Value>, u64> = FastMap::default();
+    let mut key = vec![0; aq.group_by.len()];
+    for row in rel.iter() {
+        for (k, &v) in key.iter_mut().zip(&aq.group_by) {
+            *k = row[v];
+        }
         let inc = match aq.agg {
             Agg::Count => 1,
             Agg::Sum(v) => row[v],
         };
-        *acc.entry(key).or_insert(0) += inc;
+        add(&mut groups, &key, inc);
     }
-    let mut rows: Vec<Vec<Value>> = acc
-        .into_iter()
-        .map(|(mut key, agg)| {
-            key.push(agg);
-            key
-        })
-        .collect();
-    rows.sort_unstable();
-    Relation::from_rows(aq.output_arity(), rows)
+    groups
+}
+
+/// The groups as rows `key ++ agg`, sorted.
+fn to_sorted_relation(width: usize, groups: FastMap<Vec<Value>, u64>) -> Relation {
+    let mut out = Relation::with_capacity(width, groups.len());
+    for (mut key, agg) in groups {
+        key.push(agg);
+        out.push(&key);
+    }
+    out.sort();
+    out
+}
+
+/// Serial oracle: evaluate the join, aggregate in a hash map.
+pub fn aggregate_oracle(aq: &AggregateQuery, rels: &[Relation]) -> Relation {
+    let joined = parqp_query::evaluate(&aq.join, rels);
+    to_sorted_relation(aq.output_arity(), group(aq, &joined))
 }
 
 #[cfg(test)]

@@ -112,11 +112,12 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
     // Multiway.
     if let Some(tree) = Ghd::join_tree(query) {
         // Acyclic: GYM wins when OUT is below the slide 78 crossover.
-        // The simulator computes OUT exactly with serial Yannakakis
-        // (O(IN+OUT)); a real system would use estimates, changing only
-        // where the switch happens, not the shape of the decision.
+        // The simulator counts OUT exactly with a counting Yannakakis
+        // pass (O(IN), nothing materialised); a real system would use
+        // estimates, changing only where the switch happens, not the
+        // shape of the decision.
         let tau = model::tau_star(query);
-        let out = parqp_query::yannakakis_serial(query, rels, &tree).len();
+        let out = parqp_query::join_size(query, rels, &tree);
         let crossover = model::gym_crossover_output(input as f64, p as f64, tau);
         if (out as f64) < crossover {
             return Decision {

@@ -1,6 +1,7 @@
 //! Shared plumbing for the join algorithms.
 
-use parqp_data::{FastMap, Relation, Value};
+use crate::local::KeyIndex;
+use parqp_data::{Relation, Value};
 use parqp_mpc::{LoadReport, RowBatch};
 
 /// The result of running a distributed algorithm: per-server outputs and
@@ -94,25 +95,15 @@ pub fn joined_arity(r_arity: usize, s_arity: usize) -> usize {
 
 /// Local hash join of `r` and `s` on `r_col` / `s_col`, appending merged
 /// rows to `out`: each `s` row in order, then its matching `r` rows in
-/// order. The index over `r` is a head map plus per-row `next` chains,
-/// built back to front so every chain runs in row order.
+/// order (a [`KeyIndex`] over `r`).
 pub fn local_hash_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, out: &mut Relation) {
-    const END: usize = usize::MAX;
-    let mut head: FastMap<Value, usize> =
-        FastMap::with_capacity_and_hasher(r.len(), Default::default());
-    let mut next = vec![END; r.len()];
-    for (i, row) in r.into_iter().enumerate().rev() {
-        if let Some(prev) = head.insert(row[r_col], i) {
-            next[i] = prev;
-        }
-    }
+    let index = KeyIndex::new(r, &[r_col]);
+    let s_key = [s_col];
     let mut buf = Vec::with_capacity(joined_arity(r.arity(), s.arity()));
     for s_row in s.iter() {
-        let mut i = head.get(&s_row[s_col]).copied().unwrap_or(END);
-        while i != END {
-            merge_rows(r.row(i), s_row, s_col, &mut buf);
+        for r_row in index.matches(s_row, &s_key) {
+            merge_rows(r_row, s_row, s_col, &mut buf);
             out.push(&buf);
-            i = next[i];
         }
     }
 }

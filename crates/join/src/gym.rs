@@ -19,140 +19,146 @@
 //!   optimized GYM over the bag tree: `r = O(d)`,
 //!   `L = O((IN^w + OUT)/p)` — the width/depth trade-off.
 //!
+//! Tuples travel as [`RowBatch`] rows and semijoin keys as key-only
+//! rows; each server's local phase runs in [`Cluster::map`] on
+//! [`Relation`] fragments with the shared [`JoinStep`] / [`KeyIndex`]
+//! kernel.
+//!
 //! GYM beats the one-round algorithms whenever
 //! `OUT < p^{1−1/τ*} · IN` (slide 78) — experiment E11.
 
-use crate::common::{scatter, JoinRun};
+use crate::common::{append_by_tag, by_tag, scatter, JoinRun};
+use crate::local::{to_var_order, JoinStep, KeyIndex};
 use crate::plans::combined_hash;
-use parqp_data::{FastMap, FastSet, Relation, Value};
-use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, Weight};
+use parqp_data::{FastMap, Relation, Value};
+use parqp_mpc::hash::splitmix64;
+use parqp_mpc::{Cluster, Exchange, Grid, HashFamily, LoadReport, RowBatch};
 use parqp_query::{Ghd, Query, Var};
 
-/// A distributed intermediate relation: per-server rows plus the variable
-/// schema they share.
+/// A distributed intermediate relation: per-server fragments plus the
+/// variable schema (column order) they share.
 #[derive(Debug, Clone)]
 struct Dist {
     schema: Vec<Var>,
-    parts: Vec<Vec<Vec<Value>>>,
+    parts: Vec<Relation>,
 }
 
 impl Dist {
     fn from_relation(rel: &Relation, vars: &[Var], p: usize) -> Self {
         Self {
             schema: vars.to_vec(),
-            parts: scatter(rel, p)
-                .into_iter()
-                .map(|part| part.to_rows())
-                .collect(),
+            parts: scatter(rel, p),
         }
     }
 
+    fn arity(&self) -> usize {
+        self.schema.len()
+    }
+
     fn total(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
+        self.parts.iter().map(Relation::len).sum()
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        self.parts.iter().flatten()
     }
 }
 
-/// A message of the semijoin/join machinery.
-#[derive(Debug, Clone)]
-struct GymMsg {
-    /// Which (parent, child) pair this belongs to.
-    pair: u32,
-    /// 0 = data row, 1 = semijoin key, 2 = intersection survivor.
-    kind: u8,
-    /// Row instance id (origin server ≪ 32 | index) for intersections.
-    inst: u64,
-    row: Vec<Value>,
+/// Where a row's key lands in a semijoin or join round: the combined
+/// hash of its key columns, xor a per-pair salt (0 in vanilla rounds),
+/// mod `p`.
+#[derive(Clone, Copy)]
+struct Route<'h> {
+    h: &'h HashFamily,
+    salt: u64,
 }
 
-impl Weight for GymMsg {
-    fn words(&self) -> u64 {
-        self.row.len() as u64
+impl Route<'_> {
+    fn dest(self, row: &[Value], cols: &[usize], p: usize) -> usize {
+        ((combined_hash(self.h, row, cols) ^ self.salt) % p as u64) as usize
+    }
+
+    /// Send every row of `dist`, tagged `tag`, to the server its key
+    /// hashes to; `sent(dest, instance)` sees each one, with its
+    /// instance id `origin server ≪ 32 | index`.
+    fn send_rows(
+        self,
+        ex: &mut Exchange<'_, RowBatch>,
+        tag: u32,
+        (dist, cols): (&Dist, &[usize]),
+        mut sent: impl FnMut(usize, u64),
+    ) {
+        let p = ex.p();
+        for (sid, part) in dist.parts.iter().enumerate() {
+            for (idx, row) in part.iter().enumerate() {
+                let dest = self.dest(row, cols, p);
+                ex.send_row(dest, tag, row);
+                sent(dest, ((sid as u64) << 32) | idx as u64);
+            }
+        }
+    }
+
+    /// Send each origin server's distinct keys of `dist` on `cols`, as
+    /// key-only rows tagged `tag` in order of first occurrence, to the
+    /// servers the keys hash to.
+    fn send_keys(self, ex: &mut Exchange<'_, RowBatch>, tag: u32, (dist, cols): (&Dist, &[usize])) {
+        let p = ex.p();
+        let mut key = Vec::with_capacity(cols.len());
+        for part in &dist.parts {
+            let index = KeyIndex::new(part, cols);
+            for (i, row) in part.iter().enumerate() {
+                // A row brings a new key iff its key's chain starts at it.
+                if index.positions(row, cols).next() == Some(i) {
+                    key.clear();
+                    key.extend(cols.iter().map(|&c| row[c]));
+                    ex.send_row(self.dest(row, cols, p), tag, &key);
+                }
+            }
+        }
     }
 }
 
-fn shared_positions(left: &[Var], right: &[Var]) -> Vec<(usize, usize)> {
-    left.iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect()
+/// Regroup per-server, per-slot results into per-slot, per-server ones.
+fn transpose<T>(per_server: Vec<Vec<T>>, slots: usize) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..slots)
+        .map(|_| Vec::with_capacity(per_server.len()))
+        .collect();
+    for server in per_server {
+        for (slot, item) in out.iter_mut().zip(server) {
+            slot.push(item);
+        }
+    }
+    out
 }
 
 /// One distributed semijoin round: `left ⋉ right`, both repartitioned by
 /// the hash of their shared variables. Returns the filtered left.
 fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dist) -> Dist {
     let p = cluster.p();
-    let sv = shared_positions(&left.schema, &right.schema);
-    if sv.is_empty() {
+    let step = JoinStep::between(&left.schema, &right.schema);
+    if step.left_key.is_empty() {
         // Disconnected: pure emptiness filter, no data movement needed
         // beyond a 1-bit flag we do not charge.
         if right.total() == 0 {
             return Dist {
+                parts: vec![Relation::new(left.arity()); p],
                 schema: left.schema,
-                parts: vec![Vec::new(); p],
             };
         }
         return left;
     }
-    let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-    let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-
-    let mut ex = cluster.exchange::<GymMsg>();
-    for part in &left.parts {
-        for row in part {
-            let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-            let dest =
-                (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64) as usize;
-            ex.send(
-                dest,
-                GymMsg {
-                    pair: 0,
-                    kind: 0,
-                    inst: 0,
-                    row: row.clone(),
-                },
-            );
-        }
-    }
-    for part in &right.parts {
-        let mut seen: FastSet<Vec<Value>> = FastSet::default();
-        for row in part {
-            let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-            if seen.insert(key.clone()) {
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 1,
-                        inst: 0,
-                        row: key,
-                    },
-                );
-            }
-        }
-    }
+    let route = Route { h, salt: 0 };
+    let mut ex = cluster.exchange::<RowBatch>();
+    route.send_rows(&mut ex, 0, (&left, &step.left_key), |_, _| {});
+    route.send_keys(&mut ex, 1, (right, &step.right_key));
     let inboxes = ex.finish();
 
-    let parts = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut keys: FastSet<Vec<Value>> = FastSet::default();
-            let mut rows = Vec::new();
-            for m in inbox {
-                if m.kind == 1 {
-                    keys.insert(m.row);
-                } else {
-                    rows.push(m.row);
-                }
-            }
-            rows.retain(|row| {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                keys.contains(&key)
-            });
-            rows
-        })
-        .collect();
+    let arities = [left.arity(), step.right_key.len()];
+    let parts = cluster.map(inboxes, |_, inbox| {
+        let [rows, keys] = by_tag(inbox, arities);
+        let index = KeyIndex::keys(&keys);
+        rows.filter(|row| index.contains(row, &step.left_key))
+    });
     Dist {
         schema: left.schema,
         parts,
@@ -163,133 +169,40 @@ fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dis
 /// of the shared variables (Cartesian grid if none) and join locally.
 fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) -> Dist {
     let p = cluster.p();
-    let sv = shared_positions(&left.schema, &right.schema);
-    let fresh: Vec<usize> = (0..right.schema.len())
-        .filter(|&rp| !left.schema.contains(&right.schema[rp]))
-        .collect();
-    let mut schema = left.schema.clone();
-    schema.extend(fresh.iter().map(|&rp| right.schema[rp]));
-
-    let inboxes = if sv.is_empty() {
+    let step = JoinStep::between(&left.schema, &right.schema);
+    let mut ex = cluster.exchange::<RowBatch>();
+    if step.left_key.is_empty() {
         let (p1, p2) = crate::twoway::product_grid(left.total(), right.total(), p);
         let grid = Grid::new(vec![p1, p2]);
-        let mut ex = cluster.exchange::<GymMsg>();
-        let mut idx = 0u64;
-        for part in &left.parts {
-            for row in part {
-                let band = (h.digest(0, idx) % p1 as u64) as usize;
-                idx += 1;
-                for dest in grid.matching(&[Some(band), None]) {
-                    ex.send(
-                        dest,
-                        GymMsg {
-                            pair: 0,
-                            kind: 0,
-                            inst: 0,
-                            row: row.clone(),
-                        },
-                    );
-                }
+        for (idx, row) in left.rows().enumerate() {
+            let band = (h.digest(0, idx as u64) % p1 as u64) as usize;
+            for dest in grid.matching(&[Some(band), None]) {
+                ex.send_row(dest, 0, row);
             }
         }
-        idx = 0;
-        for part in &right.parts {
-            for row in part {
-                let band = (h.digest(0, !idx) % p2 as u64) as usize;
-                idx += 1;
-                for dest in grid.matching(&[None, Some(band)]) {
-                    ex.send(
-                        dest,
-                        GymMsg {
-                            pair: 0,
-                            kind: 1,
-                            inst: 0,
-                            row: row.clone(),
-                        },
-                    );
-                }
+        for (idx, row) in right.rows().enumerate() {
+            let band = (h.digest(0, !(idx as u64)) % p2 as u64) as usize;
+            for dest in grid.matching(&[None, Some(band)]) {
+                ex.send_row(dest, 1, row);
             }
         }
-        let mut boxes = ex.finish();
-        boxes.resize_with(p, Vec::new);
-        boxes
     } else {
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        let mut ex = cluster.exchange::<GymMsg>();
-        for part in &left.parts {
-            for row in part {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        for part in &right.parts {
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 1,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        ex.finish()
-    };
+        let route = Route { h, salt: 0 };
+        route.send_rows(&mut ex, 0, (&left, &step.left_key), |_, _| {});
+        route.send_rows(&mut ex, 1, (&right, &step.right_key), |_, _| {});
+    }
+    let inboxes = ex.finish();
 
-    let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-    let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-    let parts = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut lrows = Vec::new();
-            let mut rrows = Vec::new();
-            for m in inbox {
-                if m.kind == 0 {
-                    lrows.push(m.row);
-                } else {
-                    rrows.push(m.row);
-                }
-            }
-            let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-            for (i, row) in rrows.iter().enumerate() {
-                table
-                    .entry(right_pos.iter().map(|&posn| row[posn]).collect())
-                    .or_default()
-                    .push(i);
-            }
-            let mut out = Vec::new();
-            for lrow in &lrows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| lrow[i]).collect();
-                if let Some(matches) = table.get(&key) {
-                    for &i in matches {
-                        let mut nrow = lrow.clone();
-                        nrow.extend(fresh.iter().map(|&posn| rrows[i][posn]));
-                        out.push(nrow);
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    Dist { schema, parts }
+    let arities = [left.arity(), right.arity()];
+    let parts = cluster.map(inboxes, |_, inbox| {
+        let [l, r] = by_tag(inbox, arities);
+        step.apply(&l, &r)
+    });
+    Dist {
+        schema: step.out_vars(&left.schema, &right.schema),
+        parts,
+    }
 }
-
 /// GYM over a width-1 join tree: `optimized = false` is vanilla
 /// (`r = O(n)`), `optimized = true` runs per-level (`r = O(d)`).
 ///
@@ -568,6 +481,75 @@ fn run_yannakakis(
     acc
 }
 
+/// One round of parallel semijoins `left_i ⋉ right_i`, the pairs salted
+/// apart: pair `i` sends its left rows tagged `i` and its right keys
+/// tagged `n + i`. Returns, per pair and per server, the surviving left
+/// rows with their instance ids. The ids ride beside the rows as
+/// uncharged metadata, one list per destination and pair: inboxes are
+/// delivered in send order, so each list stays aligned with its pair's
+/// rows.
+fn semijoin_level(
+    cluster: &mut Cluster,
+    h: &HashFamily,
+    pairs: &[(&Dist, &Dist)],
+) -> Vec<Vec<(Relation, Vec<u64>)>> {
+    let p = cluster.p();
+    let n = pairs.len();
+    let steps: Vec<JoinStep> = pairs
+        .iter()
+        .map(|(left, right)| {
+            let step = JoinStep::between(&left.schema, &right.schema);
+            assert!(!step.left_key.is_empty(), "join-tree edges share variables");
+            step
+        })
+        .collect();
+    let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); n]; p];
+    let mut ex = cluster.exchange::<RowBatch>();
+    for (pair, ((left, right), step)) in pairs.iter().zip(&steps).enumerate() {
+        let route = Route {
+            h,
+            salt: splitmix64(pair as u64),
+        };
+        route.send_rows(
+            &mut ex,
+            pair as u32,
+            (left, &step.left_key),
+            |dest, inst| insts[dest][pair].push(inst),
+        );
+        route.send_keys(&mut ex, (n + pair) as u32, (right, &step.right_key));
+    }
+    let inboxes = ex.finish();
+
+    let mut arities: Vec<usize> = pairs.iter().map(|(left, _)| left.arity()).collect();
+    arities.extend(steps.iter().map(|s| s.right_key.len()));
+    let filtered = cluster.map(
+        inboxes.into_iter().zip(insts).collect(),
+        |_, (inbox, insts)| {
+            let mut slots: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
+            append_by_tag(inbox, &mut slots);
+            let (rows, keys) = slots.split_at(n);
+            rows.iter()
+                .zip(keys)
+                .zip(&steps)
+                .zip(insts)
+                .map(|(((rows, keys), step), ids)| {
+                    let index = KeyIndex::keys(keys);
+                    let mut kept = Relation::new(rows.arity());
+                    let mut kept_ids = Vec::new();
+                    for (row, id) in rows.iter().zip(ids) {
+                        if index.contains(row, &step.left_key) {
+                            kept.push(row);
+                            kept_ids.push(id);
+                        }
+                    }
+                    (kept, kept_ids)
+                })
+                .collect()
+        },
+    );
+    transpose(filtered, n)
+}
+
 /// Optimized upward level: all parents filtered by all their
 /// level-children. One filter round; plus one intersection round if any
 /// parent has ≥ 2 children here (slides 90–91).
@@ -578,145 +560,82 @@ fn upward_level(
     edges: &[(usize, usize)],
 ) {
     let p = cluster.p();
-    let mut children_of: FastMap<usize, Vec<usize>> = FastMap::default();
-    for &(par, b) in edges {
-        children_of.entry(par).or_default().push(b);
-    }
-    let needs_intersection = children_of.values().any(|c| c.len() > 1);
+    // The level's parents in first-seen order, and each pair's slot.
+    let mut parents: Vec<usize> = Vec::new();
+    let slot_of_pair: Vec<usize> = edges
+        .iter()
+        .map(|&(par, _)| {
+            parents.iter().position(|&q| q == par).unwrap_or_else(|| {
+                parents.push(par);
+                parents.len() - 1
+            })
+        })
+        .collect();
 
-    // Filter round.
-    let mut ex = cluster.exchange::<GymMsg>();
-    let mut pair_meta = Vec::new(); // (parent, child, left_pos, right_pos)
-    for (pair_id, &(par, b)) in edges.iter().enumerate() {
-        let sv = shared_positions(&states[par].schema, &states[b].schema);
-        assert!(!sv.is_empty(), "join-tree edges share variables");
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        // Parent rows, tagged with instance ids.
-        for (sid, part) in states[par].parts.iter().enumerate() {
-            for (idx, row) in part.iter().enumerate() {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                    ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                    % p as u64;
-                ex.send(
-                    dest as usize,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 0,
-                        inst: ((sid as u64) << 32) | idx as u64,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        // Child keys, deduplicated per origin server.
-        for part in &states[b].parts {
-            let mut seen: FastSet<Vec<Value>> = FastSet::default();
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                if seen.insert(key.clone()) {
-                    let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                        % p as u64;
-                    ex.send(
-                        dest as usize,
-                        GymMsg {
-                            pair: pair_id as u32,
-                            kind: 1,
-                            inst: 0,
-                            row: key,
-                        },
-                    );
-                }
-            }
-        }
-        pair_meta.push((par, b, left_pos, right_pos));
-    }
-    let inboxes = ex.finish();
+    let pairs: Vec<(&Dist, &Dist)> = edges
+        .iter()
+        .map(|&(par, b)| (&states[par], &states[b]))
+        .collect();
+    let survivors = semijoin_level(cluster, h, &pairs);
 
-    // Local filtering: survivors per pair per server.
-    type Survivors = Vec<Vec<(u64, Vec<Value>)>>; // per server: (instance, row)
-    let mut survivors: Vec<Survivors> = vec![vec![Vec::new(); p]; edges.len()];
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        let mut keys: Vec<FastSet<Vec<Value>>> = vec![FastSet::default(); edges.len()];
-        let mut rows: Vec<Vec<(u64, Vec<Value>)>> = vec![Vec::new(); edges.len()];
-        for m in inbox {
-            if m.kind == 1 {
-                keys[m.pair as usize].insert(m.row);
-            } else {
-                rows[m.pair as usize].push((m.inst, m.row));
-            }
-        }
-        for (pair_id, pair_rows) in rows.into_iter().enumerate() {
-            let left_pos = &pair_meta[pair_id].2;
-            for (inst, row) in pair_rows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                if keys[pair_id].contains(&key) {
-                    survivors[pair_id][sid].push((inst, row));
-                }
-            }
-        }
-    }
-
-    if !needs_intersection {
+    if parents.len() == edges.len() {
         // Each parent had exactly one child: survivors are the new state.
-        for (pair_id, &(par, _, _, _)) in pair_meta.iter().enumerate() {
-            states[par].parts = survivors[pair_id]
-                .iter()
-                .map(|rows| rows.iter().map(|(_, r)| r.clone()).collect())
-                .collect();
+        for (&(par, _), per_server) in edges.iter().zip(survivors) {
+            states[par].parts = per_server.into_iter().map(|(rows, _)| rows).collect();
         }
         return;
     }
 
     // Intersection round: survivors routed by instance id; an instance
     // survives iff all of its parent's filters passed it (slide 91).
-    let mut ex = cluster.exchange::<GymMsg>();
-    for (pair_id, per_server) in survivors.iter().enumerate() {
-        for rows in per_server {
-            for (inst, row) in rows {
-                let dest = (parqp_mpc::hash::splitmix64(*inst) % p as u64) as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 2,
-                        inst: *inst,
-                        row: row.clone(),
-                    },
-                );
+    let mut insts: Vec<Vec<u64>> = vec![Vec::new(); p];
+    let mut ex = cluster.exchange::<RowBatch>();
+    for (pair, per_server) in survivors.iter().enumerate() {
+        for (rows, ids) in per_server {
+            for (row, &inst) in rows.iter().zip(ids) {
+                let dest = (splitmix64(inst) % p as u64) as usize;
+                ex.send_row(dest, pair as u32, row);
+                insts[dest].push(inst);
             }
         }
     }
     let inboxes = ex.finish();
 
-    let mut filter_count: FastMap<usize, u32> = FastMap::default();
-    for (pair_id, &(par, _, _, _)) in pair_meta.iter().enumerate() {
-        let _ = pair_id;
-        *filter_count.entry(par).or_insert(0) += 1;
-    }
-    let parent_of_pair: Vec<usize> = pair_meta.iter().map(|m| m.0).collect();
-
-    let mut new_parts: FastMap<usize, Vec<Vec<Vec<Value>>>> = FastMap::default();
-    for &par in children_of.keys() {
-        new_parts.insert(par, vec![Vec::new(); p]);
-    }
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        // Count appearances of each (parent, inst); keep one row copy.
-        let mut counts: FastMap<(usize, u64), (u32, Vec<Value>)> = FastMap::default();
-        for m in inbox {
-            let par = parent_of_pair[m.pair as usize];
-            let e = counts.entry((par, m.inst)).or_insert((0, m.row));
-            e.0 += 1;
-        }
-        for ((par, _inst), (cnt, row)) in counts {
-            if cnt == filter_count[&par] {
-                new_parts.get_mut(&par).expect("present")[sid].push(row);
+    let parent_arities: Vec<usize> = parents.iter().map(|&par| states[par].arity()).collect();
+    let filters: Vec<u32> = (0..parents.len())
+        .map(|slot| slot_of_pair.iter().filter(|&&s| s == slot).count() as u32)
+        .collect();
+    let merged = cluster.map(
+        inboxes.into_iter().zip(insts).collect(),
+        |_, (inbox, insts)| {
+            // Count appearances of each (parent, instance); keep one row.
+            // The map's iteration order, a function of the key sequence
+            // alone, is the output row order.
+            let mut counts: FastMap<(usize, u64), (u32, usize, &[Value])> = FastMap::default();
+            let rows = inbox.iter().flat_map(|batch| {
+                let pair = batch.tag() as usize;
+                batch
+                    .values()
+                    .chunks_exact(batch.arity())
+                    .map(move |row| (pair, row))
+            });
+            for ((pair, row), inst) in rows.zip(insts) {
+                let slot = slot_of_pair[pair];
+                counts
+                    .entry((parents[slot], inst))
+                    .or_insert((0, slot, row))
+                    .0 += 1;
             }
-        }
-    }
-    for (par, parts) in new_parts {
+            let mut out: Vec<Relation> = parent_arities.iter().map(|&a| Relation::new(a)).collect();
+            for (cnt, slot, row) in counts.into_values() {
+                if cnt == filters[slot] {
+                    out[slot].push(row);
+                }
+            }
+            out
+        },
+    );
+    for (&par, parts) in parents.iter().zip(transpose(merged, parents.len())) {
         states[par].parts = parts;
     }
 }
@@ -729,79 +648,31 @@ fn downward_level(
     states: &mut [Dist],
     edges: &[(usize, usize)],
 ) {
-    let p = cluster.p();
-    let mut ex = cluster.exchange::<GymMsg>();
-    let mut pair_meta = Vec::new();
-    for (pair_id, &(par, b)) in edges.iter().enumerate() {
-        let sv = shared_positions(&states[b].schema, &states[par].schema);
-        assert!(!sv.is_empty(), "join-tree edges share variables");
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        for part in &states[b].parts {
-            for row in part {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                    ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                    % p as u64;
-                ex.send(
-                    dest as usize,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        for part in &states[par].parts {
-            let mut seen: FastSet<Vec<Value>> = FastSet::default();
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                if seen.insert(key.clone()) {
-                    let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                        % p as u64;
-                    ex.send(
-                        dest as usize,
-                        GymMsg {
-                            pair: pair_id as u32,
-                            kind: 1,
-                            inst: 0,
-                            row: key,
-                        },
-                    );
-                }
-            }
-        }
-        pair_meta.push((par, b, left_pos));
+    let pairs: Vec<(&Dist, &Dist)> = edges
+        .iter()
+        .map(|&(par, b)| (&states[b], &states[par]))
+        .collect();
+    let survivors = semijoin_level(cluster, h, &pairs);
+    for (&(_, b), per_server) in edges.iter().zip(survivors) {
+        states[b].parts = per_server.into_iter().map(|(rows, _)| rows).collect();
     }
-    let inboxes = ex.finish();
+}
 
-    let mut new_parts: Vec<Vec<Vec<Vec<Value>>>> = vec![vec![Vec::new(); p]; edges.len()];
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        let mut keys: Vec<FastSet<Vec<Value>>> = vec![FastSet::default(); edges.len()];
-        let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); edges.len()];
-        for m in inbox {
-            if m.kind == 1 {
-                keys[m.pair as usize].insert(m.row);
-            } else {
-                rows[m.pair as usize].push(m.row);
-            }
-        }
-        for (pair_id, pair_rows) in rows.into_iter().enumerate() {
-            let left_pos = &pair_meta[pair_id].2;
-            for row in pair_rows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                if keys[pair_id].contains(&key) {
-                    new_parts[pair_id][sid].push(row);
-                }
-            }
-        }
-    }
-    for (pair_id, &(_, b, _)) in pair_meta.iter().enumerate() {
-        states[b].parts = std::mem::take(&mut new_parts[pair_id]);
-    }
+/// One parent's share of an optimized join level: its children, the
+/// HyperCube block its merge runs on, and the local fold.
+struct NodePlan {
+    parent: usize,
+    children: Vec<usize>,
+    grid: Grid,
+    offset: usize,
+    /// Per child: the parent's and the child's key columns.
+    keys: Vec<JoinStep>,
+    /// Per child: the step folding it into the accumulated rows.
+    folds: Vec<JoinStep>,
+    /// Tag-slot arities: the parent's, then each child's.
+    arities: Vec<usize>,
+    /// Schema of the merged rows.
+    schema: Vec<Var>,
 }
 
 /// Optimized join level: each parent absorbs all its children in one
@@ -817,14 +688,6 @@ fn join_level(
     parents.sort_unstable();
     let block = (p / parents.len()).max(1);
 
-    // Per-parent grid over its children dimensions.
-    struct NodePlan {
-        parent: usize,
-        children: Vec<usize>,
-        grid: Grid,
-        offset: usize,
-        sv: Vec<(Vec<usize>, Vec<usize>)>, // per child: (parent pos, child pos)
-    }
     let mut plans = Vec::new();
     for (i, &par) in parents.iter().enumerate() {
         let children = by_parent[&par].clone();
@@ -842,139 +705,92 @@ fn join_level(
         } else {
             vec![1; c]
         };
-        let grid = Grid::new(shares);
-        let sv = children
+        let keys: Vec<JoinStep> = children
             .iter()
             .map(|&b| {
-                let pairs = shared_positions(&states[par].schema, &states[b].schema);
-                assert!(!pairs.is_empty(), "join-tree edges share variables");
-                (
-                    pairs.iter().map(|&(lp, _)| lp).collect(),
-                    pairs.iter().map(|&(_, rp)| rp).collect(),
-                )
+                let step = JoinStep::between(&states[par].schema, &states[b].schema);
+                assert!(!step.left_key.is_empty(), "join-tree edges share variables");
+                step
             })
             .collect();
+        let mut schema = states[par].schema.clone();
+        let mut folds = Vec::with_capacity(c);
+        let mut arities = vec![states[par].arity()];
+        for &b in &children {
+            let child = &states[b].schema;
+            let fold = JoinStep::between(&schema, child);
+            schema = fold.out_vars(&schema, child);
+            folds.push(fold);
+            arities.push(child.len());
+        }
         plans.push(NodePlan {
             parent: par,
             children,
-            grid,
+            grid: Grid::new(shares),
             offset: i * block,
-            sv,
+            keys,
+            folds,
+            arities,
+            schema,
         });
     }
 
-    let mut ex = cluster.exchange::<GymMsg>();
+    // Parent rows (tag 0) go to their fully determined cell; child `i`'s
+    // rows (tag 1 + i) fix dimension `i` and broadcast along the rest.
+    let mut ex = cluster.exchange::<RowBatch>();
     for plan in &plans {
-        let par = plan.parent;
-        // Parent rows: fully determined coordinates.
-        for part in &states[par].parts {
-            for row in part {
-                let coords: Vec<usize> = plan
-                    .sv
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, (ppos, _))| {
-                        let key: Vec<Value> = ppos.iter().map(|&i| row[i]).collect();
-                        (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                            % plan.grid.dims()[ci] as u64) as usize
-                    })
-                    .collect();
-                ex.send(
-                    plan.offset + plan.grid.rank(&coords),
-                    GymMsg {
-                        pair: u32::MAX,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
+        let dims = plan.grid.dims();
+        for row in states[plan.parent].rows() {
+            let coords: Vec<usize> = plan
+                .keys
+                .iter()
+                .zip(dims)
+                .map(|(key, &d)| (combined_hash(h, row, &key.left_key) % d as u64) as usize)
+                .collect();
+            ex.send_row(plan.offset + plan.grid.rank(&coords), 0, row);
         }
-        // Child rows: own dimension fixed, others broadcast.
-        for (ci, &b) in plan.children.iter().enumerate() {
-            let (_, cpos) = &plan.sv[ci];
-            for part in &states[b].parts {
-                for row in part {
-                    let key: Vec<Value> = cpos.iter().map(|&i| row[i]).collect();
-                    let coord = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        % plan.grid.dims()[ci] as u64) as usize;
-                    let mut partial = vec![None; plan.children.len()];
-                    partial[ci] = Some(coord);
-                    for dest in plan.grid.matching(&partial) {
-                        ex.send(
-                            plan.offset + dest,
-                            GymMsg {
-                                pair: ci as u32,
-                                kind: 1,
-                                inst: 0,
-                                row: row.clone(),
-                            },
-                        );
-                    }
+        for (ci, (&b, key)) in plan.children.iter().zip(&plan.keys).enumerate() {
+            for row in states[b].rows() {
+                let mut partial = vec![None; plan.children.len()];
+                partial[ci] =
+                    Some((combined_hash(h, row, &key.right_key) % dims[ci] as u64) as usize);
+                for dest in plan.grid.matching(&partial) {
+                    ex.send_row(plan.offset + dest, 1 + ci as u32, row);
                 }
             }
         }
     }
     let inboxes = ex.finish();
 
-    // Local: fold children into the parent fragment.
-    for plan in &plans {
-        let par = plan.parent;
-        let mut schema = states[par].schema.clone();
-        let child_schemas: Vec<Vec<Var>> = plan
-            .children
+    // Local: fold the children into the parent fragment on every server
+    // of a block; servers outside all blocks hold nothing.
+    let merged = cluster.map(inboxes, |sid, inbox| {
+        let (k, plan) = plans
             .iter()
-            .map(|&b| states[b].schema.clone())
-            .collect();
-        let mut new_parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); p];
-        for local in 0..plan.grid.len() {
-            let sid = plan.offset + local;
-            let inbox = &inboxes[sid];
-            let mut acc: Vec<Vec<Value>> = inbox
-                .iter()
-                .filter(|m| m.kind == 0)
-                .map(|m| m.row.clone())
-                .collect();
-            let mut acc_schema = states[par].schema.clone();
-            for (ci, child_schema) in child_schemas.iter().enumerate() {
-                let rows: Vec<&Vec<Value>> = inbox
-                    .iter()
-                    .filter(|m| m.kind == 1 && m.pair == ci as u32)
-                    .map(|m| &m.row)
-                    .collect();
-                let pairs = shared_positions(&acc_schema, child_schema);
-                let lpos: Vec<usize> = pairs.iter().map(|&(lp, _)| lp).collect();
-                let rpos: Vec<usize> = pairs.iter().map(|&(_, rp)| rp).collect();
-                let fresh: Vec<usize> = (0..child_schema.len())
-                    .filter(|&rp| !acc_schema.contains(&child_schema[rp]))
-                    .collect();
-                let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-                for (i, row) in rows.iter().enumerate() {
-                    table
-                        .entry(rpos.iter().map(|&posn| row[posn]).collect())
-                        .or_default()
-                        .push(i);
-                }
-                let mut next = Vec::new();
-                for arow in &acc {
-                    let key: Vec<Value> = lpos.iter().map(|&i| arow[i]).collect();
-                    if let Some(matches) = table.get(&key) {
-                        for &i in matches {
-                            let mut nrow = arow.clone();
-                            nrow.extend(fresh.iter().map(|&posn| rows[i][posn]));
-                            next.push(nrow);
-                        }
-                    }
-                }
-                acc = next;
-                acc_schema.extend(fresh.iter().map(|&posn| child_schema[posn]));
-            }
-            new_parts[sid] = acc;
-            schema = acc_schema;
+            .enumerate()
+            .find(|(_, plan)| (plan.offset..plan.offset + plan.grid.len()).contains(&sid))?;
+        let mut slots: Vec<Relation> = plan.arities.iter().map(|&a| Relation::new(a)).collect();
+        append_by_tag(inbox, &mut slots);
+        let mut slots = slots.into_iter();
+        let parent = slots.next()?;
+        let acc = slots
+            .zip(&plan.folds)
+            .fold(parent, |acc, (child, fold)| fold.apply(&acc, &child));
+        Some((k, acc))
+    });
+    let mut new_parts: Vec<Vec<Relation>> = plans
+        .iter()
+        .map(|plan| vec![Relation::new(plan.schema.len()); p])
+        .collect();
+    for (sid, part) in merged.into_iter().enumerate() {
+        if let Some((k, rel)) = part {
+            new_parts[k][sid] = rel;
         }
-        states[par] = Dist {
-            schema,
-            parts: new_parts,
+    }
+    for (plan, parts) in plans.into_iter().zip(new_parts) {
+        states[plan.parent] = Dist {
+            schema: plan.schema,
+            parts,
         };
     }
 }
@@ -987,24 +803,10 @@ fn finish(query: &Query, dist: Dist, report: LoadReport) -> JoinRun {
         query.num_vars(),
         "result must bind every variable"
     );
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &v) in dist.schema.iter().enumerate() {
-        col_of_var[v] = i;
-    }
     let outputs = dist
         .parts
         .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (v, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[v]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
+        .map(|rel| to_var_order(rel, &dist.schema))
         .collect();
     JoinRun { outputs, report }
 }
@@ -1165,5 +967,76 @@ mod tests {
             let run = gym(&q, &rels, &tree, 4, 17, optimized);
             assert_eq!(run.output_size(), 0);
         }
+    }
+
+    /// Per round: (Σ tuples, Σ words, max tuples, max words).
+    fn ledger(report: &LoadReport) -> Vec<(u64, u64, u64, u64)> {
+        report
+            .rounds
+            .iter()
+            .map(|r| {
+                (
+                    r.total_tuples(),
+                    r.total_words(),
+                    r.max_tuples(),
+                    r.max_words(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn star_ledger_is_pinned_with_and_without_faults() {
+        // One parent with two children, so the upward phase runs its
+        // intersection round (instance ids ride as uncharged metadata).
+        use parqp_mpc::faults::{capture, FaultKind, FaultPlan, RecoveryStrategy};
+        let q = Query::star(3);
+        let tree = Ghd::star_flat(&q);
+        let rels: Vec<Relation> = (0..3)
+            .map(|i| generate::uniform(2, 300, 40, 80 + i as u64))
+            .collect();
+        let run = gym(&q, &rels, &tree, 8, 5, true);
+        check(&q, &rels, &run);
+        assert_eq!(run.output_size(), 17315);
+        // Filter (rows + 1-word keys), intersection, downward, HC join.
+        let clean = [
+            (989, 1589, 154, 244),
+            (600, 1200, 96, 192),
+            (998, 1598, 155, 258),
+            (2100, 4200, 334, 668),
+        ];
+        assert_eq!(ledger(&run.report), clean);
+
+        // Drop 3 key rows in the filter round, duplicate 2 survivors in
+        // the intersection round, drop 4 rows in the join round: each is
+        // charged at its exact width and recovered.
+        let plan = FaultPlan::new()
+            .with_fault(0, 1, FaultKind::Drop { msgs: 3 })
+            .with_fault(1, 2, FaultKind::Duplicate { msgs: 2 })
+            .with_fault(3, 0, FaultKind::Drop { msgs: 4 });
+        let (log, faulty) = capture(plan, RecoveryStrategy::default(), || {
+            gym(&q, &rels, &tree, 8, 5, true)
+        });
+        assert_eq!(
+            ledger(&faulty.report),
+            [
+                clean[0],
+                (3, 3, 3, 3),
+                (602, 1204, 98, 196),
+                clean[2],
+                clean[3],
+                (4, 8, 4, 8),
+            ]
+        );
+        assert_eq!(
+            (
+                log.fired(),
+                log.recovery_rounds,
+                log.recovery_tuples,
+                log.recovery_words
+            ),
+            (3, 2, 9, 15)
+        );
+        assert_eq!(faulty.outputs, run.outputs, "recovery never alters data");
     }
 }

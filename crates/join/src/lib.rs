@@ -27,13 +27,16 @@
 //! * [`subgraph`] — a BiGJoin-style vertex-at-a-time expansion join for
 //!   (cyclic) subgraph queries (slide 97's practice section);
 //! * [`baselines`] — the deliberately naive strategies of the slide 13
-//!   cost table (ship-everything, ring rotation).
+//!   cost table (ship-everything, ring rotation);
+//! * [`local`] — the one local join step (a chained hash index probed in
+//!   order) that every server runs on its fragment.
 
 pub mod aggregate;
 pub mod baselines;
 pub mod common;
 pub mod gym;
 pub mod hl;
+pub mod local;
 pub mod multiway;
 pub mod plans;
 pub mod skewhc;

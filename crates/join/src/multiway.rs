@@ -14,10 +14,11 @@
 //! triangle query (slide 36).
 
 use crate::common::{append_by_tag, scatter, JoinRun};
+use crate::local::local_evaluate;
 use parqp_data::paged::RouteScan;
 use parqp_data::Relation;
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
-use parqp_query::{evaluate, Query};
+use parqp_query::Query;
 
 /// Run the HyperCube algorithm with LP-optimal integer shares.
 ///
@@ -122,7 +123,7 @@ pub fn hypercube_with_shares(
             .map(|a| Relation::new(a.arity()))
             .collect();
         append_by_tag(inbox, &mut fragments);
-        evaluate(query, &fragments)
+        local_evaluate(query, &fragments)
     });
     drop(evaluate_span);
     JoinRun {
@@ -135,6 +136,7 @@ pub fn hypercube_with_shares(
 mod tests {
     use super::*;
     use parqp_data::generate;
+    use parqp_query::evaluate;
 
     fn oracle(query: &Query, rels: &[Relation]) -> Relation {
         evaluate(query, rels)

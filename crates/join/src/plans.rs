@@ -12,10 +12,12 @@
 //! their respective regimes.
 
 use crate::common::{by_tag, scatter, JoinRun};
+use crate::local::{to_var_order, JoinStep};
 use parqp_data::paged::{IoCursor, RouteScan};
-use parqp_data::{FastMap, Relation, Value};
+use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
 use parqp_query::{Query, Var};
+use std::borrow::Cow;
 
 const TAG_LEFT: u32 = 0;
 const TAG_RIGHT: u32 = 1;
@@ -79,24 +81,10 @@ pub fn binary_join_plan(
 
     for &next in &order[1..] {
         let atom = &query.atoms()[next];
-        let shared_left: Vec<usize> = (0..schema.len())
-            .filter(|&i| atom.vars.contains(&schema[i]))
-            .collect();
-        let shared_right: Vec<usize> = shared_left
-            .iter()
-            .map(|&i| {
-                atom.vars
-                    .iter()
-                    .position(|&v| v == schema[i])
-                    .expect("shared")
-            })
-            .collect();
-        let fresh_right: Vec<usize> = (0..atom.vars.len())
-            .filter(|&pos| !schema.contains(&atom.vars[pos]))
-            .collect();
+        let step = JoinStep::between(&schema, &atom.vars);
         let right_parts = scatter(&rels[next], p);
 
-        let inboxes = if shared_left.is_empty() {
+        let inboxes = if step.left_key.is_empty() {
             // Cartesian round on a product grid.
             let _span = trace::span("binary_plan/cartesian");
             let left_n: usize = parts.iter().map(Relation::len).sum();
@@ -141,7 +129,7 @@ pub fn binary_join_plan(
                 let mut io = IoCursor::new(sid);
                 for row in part {
                     io.read(row.len());
-                    let dest = (combined_hash(&h, row, &shared_left) % p as u64) as usize;
+                    let dest = (combined_hash(&h, row, &step.left_key) % p as u64) as usize;
                     ex.send_row(dest, TAG_LEFT, row);
                 }
             }
@@ -149,7 +137,7 @@ pub fn binary_join_plan(
                 ex.set_sender(sid);
                 let scan = RouteScan::new(sid, part);
                 for row in scan.iter() {
-                    let dest = (combined_hash(&h, row, &shared_right) % p as u64) as usize;
+                    let dest = (combined_hash(&h, row, &step.right_key) % p as u64) as usize;
                     ex.send_row(dest, TAG_RIGHT, row);
                 }
             }
@@ -160,28 +148,9 @@ pub fn binary_join_plan(
         let (left_arity, right_arity) = (schema.len(), atom.arity());
         parts = cluster.map(inboxes, |_, inbox| {
             let [left_rows, right_rows] = by_tag(inbox, [left_arity, right_arity]);
-            let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-            for (i, row) in right_rows.iter().enumerate() {
-                let key: Vec<Value> = shared_right.iter().map(|&pos| row[pos]).collect();
-                table.entry(key).or_default().push(i);
-            }
-            let mut out = Relation::new(left_arity + fresh_right.len());
-            let mut nrow = Vec::with_capacity(out.arity());
-            for lrow in &left_rows {
-                let key: Vec<Value> = shared_left.iter().map(|&i| lrow[i]).collect();
-                if let Some(matches) = table.get(&key) {
-                    for &i in matches {
-                        let rrow = right_rows.row(i);
-                        nrow.clear();
-                        nrow.extend_from_slice(lrow);
-                        nrow.extend(fresh_right.iter().map(|&pos| rrow[pos]));
-                        out.push(&nrow);
-                    }
-                }
-            }
-            out
+            step.apply(&left_rows, &right_rows)
         });
-        schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
+        schema = step.out_vars(&schema, &atom.vars);
     }
 
     // Reorder columns to x₀ … x_{k-1}.
@@ -190,11 +159,10 @@ pub fn binary_join_plan(
         query.num_vars(),
         "plan must bind every variable"
     );
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &v) in schema.iter().enumerate() {
-        col_of_var[v] = i;
-    }
-    let outputs = parts.iter().map(|rows| rows.project(&col_of_var)).collect();
+    let outputs = parts
+        .into_iter()
+        .map(|rows| to_var_order(rows, &schema))
+        .collect();
     JoinRun {
         outputs,
         report: cluster.report(),
@@ -202,51 +170,18 @@ pub fn binary_join_plan(
 }
 
 /// Size of the largest intermediate result of a left-deep plan, computed
-/// serially (used by E09/E11 to report intermediate blow-up).
+/// serially (used by E05 to report intermediate blow-up).
 pub fn max_intermediate_size(query: &Query, rels: &[Relation], order: Option<Vec<usize>>) -> usize {
     let order = order.unwrap_or_else(|| (0..query.num_atoms()).collect());
     let mut schema = query.atoms()[order[0]].vars.clone();
-    let mut rows: Vec<Vec<Value>> = rels[order[0]].iter().map(<[Value]>::to_vec).collect();
+    let mut rows = Cow::Borrowed(&rels[order[0]]);
     let mut max = rows.len();
     for &next in &order[1..] {
         let atom = &query.atoms()[next];
-        let shared_left: Vec<usize> = (0..schema.len())
-            .filter(|&i| atom.vars.contains(&schema[i]))
-            .collect();
-        let shared_right: Vec<usize> = shared_left
-            .iter()
-            .map(|&i| {
-                atom.vars
-                    .iter()
-                    .position(|&v| v == schema[i])
-                    .expect("shared")
-            })
-            .collect();
-        let fresh_right: Vec<usize> = (0..atom.vars.len())
-            .filter(|&pos| !schema.contains(&atom.vars[pos]))
-            .collect();
-        let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-        let right_rows: Vec<&[Value]> = rels[next].iter().collect();
-        for (i, row) in right_rows.iter().enumerate() {
-            table
-                .entry(shared_right.iter().map(|&posn| row[posn]).collect())
-                .or_default()
-                .push(i);
-        }
-        let mut out = Vec::new();
-        for lrow in &rows {
-            let key: Vec<Value> = shared_left.iter().map(|&i| lrow[i]).collect();
-            if let Some(matches) = table.get(&key) {
-                for &i in matches {
-                    let mut nrow = lrow.clone();
-                    nrow.extend(fresh_right.iter().map(|&posn| right_rows[i][posn]));
-                    out.push(nrow);
-                }
-            }
-        }
-        rows = out;
+        let step = JoinStep::between(&schema, &atom.vars);
+        rows = Cow::Owned(step.apply(&rows, &rels[next]));
         max = max.max(rows.len());
-        schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
+        schema = step.out_vars(&schema, &atom.vars);
     }
     max
 }

@@ -23,11 +23,12 @@
 //! hash-join's `N` (slides 48–51).
 
 use crate::common::{append_by_tag, scatter, JoinRun};
+use crate::local::local_evaluate;
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::degree_counts;
 use parqp_data::{FastSet, Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
-use parqp_query::{evaluate, residual, Query};
+use parqp_query::{residual, Query};
 
 /// One heavy/light combination's execution plan.
 #[derive(Debug, Clone)]
@@ -189,18 +190,15 @@ pub fn skewhc_with_plans(
     drop(shuffle);
 
     let _span = trace::span("skewhc/evaluate");
-    let outputs = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut fragments: Vec<Relation> = query
-                .atoms()
-                .iter()
-                .map(|a| Relation::new(a.arity()))
-                .collect();
-            append_by_tag(inbox, &mut fragments);
-            evaluate(query, &fragments)
-        })
-        .collect();
+    let outputs = cluster.map(inboxes, |_, inbox| {
+        let mut fragments: Vec<Relation> = query
+            .atoms()
+            .iter()
+            .map(|a| Relation::new(a.arity()))
+            .collect();
+        append_by_tag(inbox, &mut fragments);
+        local_evaluate(query, &fragments)
+    });
     (
         JoinRun {
             outputs,
@@ -232,6 +230,7 @@ pub fn heavy_values(query: &Query, rels: &[Relation], p: usize) -> Vec<FastSet<V
 mod tests {
     use super::*;
     use parqp_data::generate;
+    use parqp_query::evaluate;
 
     fn oracle(query: &Query, rels: &[Relation]) -> Relation {
         evaluate(query, rels)

@@ -2,8 +2,9 @@
 //! random inputs, across random cluster sizes and seeds.
 
 use parqp_data::Relation;
+use parqp_join::local::local_evaluate;
 use parqp_join::{gym, multiway, plans, skewhc, twoway};
-use parqp_query::{evaluate, Ghd, Query};
+use parqp_query::{evaluate, parse_query, Ghd, Query};
 use parqp_testkit::prelude::*;
 
 /// A random binary relation with a controllable duplicate rate: small
@@ -17,6 +18,58 @@ fn arb_pairs(max_rows: usize) -> impl Strategy<Value = Relation> {
 
 fn arb_p() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(8), Just(16)]
+}
+
+/// The shapes the local kernel is checked on: triangle, chains, a star,
+/// the 4-cycle, the product, the semijoin pair, ternary atoms joined on
+/// a two-column key, and a chain whose atom order makes a Cartesian
+/// step before the atom that connects it.
+fn kernel_shapes() -> Vec<Query> {
+    let parsed = |text: &str| parse_query(text).expect("valid query");
+    vec![
+        Query::triangle(),
+        Query::chain(3),
+        Query::chain(4),
+        Query::star(3),
+        Query::cycle(4),
+        Query::product(),
+        Query::semijoin_pair(),
+        parsed("R(x, y, z), S(y, z, w)"),
+        parsed("R(x, y), T(z, w), S(y, z)"),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    #[test]
+    fn local_evaluate_equals_oracle_row_for_row(
+        shape in 0usize..9,
+        seed in 0u64..10_000,
+        rows in 0usize..20,
+        domain in 1u64..8,
+        emptied in 0usize..8,
+    ) {
+        // Small domains make duplicate rows and heavy keys; `emptied`
+        // empties one atom's relation about half the time.
+        let q = kernel_shapes().swap_remove(shape);
+        let rels: Vec<Relation> = q
+            .atoms()
+            .iter()
+            .enumerate()
+            .map(|(i, atom)| {
+                let h = parqp_mpc::HashFamily::new(seed + i as u64, atom.arity());
+                let n = if i == emptied { 0 } else { rows };
+                let mut rel = Relation::new(atom.arity());
+                for j in 0..n as u64 {
+                    let row: Vec<u64> = (0..atom.arity()).map(|c| h.digest(c, j) % domain).collect();
+                    rel.push(&row);
+                }
+                rel
+            })
+            .collect();
+        prop_assert_eq!(local_evaluate(&q, &rels), evaluate(&q, &rels));
+    }
 }
 
 proptest! {

@@ -27,7 +27,7 @@ pub mod residual;
 pub mod wcoj;
 
 pub use ghd::{Bag, Ghd};
-pub use oracle::{evaluate, yannakakis_serial};
+pub use oracle::{evaluate, join_size, yannakakis_serial};
 pub use parser::{parse_query, ParseError};
 pub use query::{Atom, Query, Var};
 pub use residual::{all_residuals, psi_star, residual, ResidualQuery};

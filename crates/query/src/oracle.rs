@@ -10,6 +10,9 @@
 //!   (slides 64–77): upward semijoin phase, downward semijoin phase, then
 //!   a bottom-up join phase, running in `O(IN + OUT)`.
 //!
+//! [`join_size`] counts `OUT` with the same tree in `O(IN)`, without
+//! building a single output tuple.
+//!
 //! Both produce the full natural join with output schema `x₀ … x_{k-1}`
 //! under **bag semantics** (tests compare canonical set forms when an
 //! algorithm is only set-equivalent).
@@ -88,60 +91,39 @@ pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
 /// Panics if the GHD is not a width-1 join tree of `q`, or input shapes
 /// disagree with the query.
 pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
-    check_inputs(q, rels);
-    tree.validate(q).expect("invalid GHD");
-    assert!(
-        tree.width() == 1,
-        "serial Yannakakis requires a width-1 join tree"
-    );
-    let n = tree.bags.len();
-    assert_eq!(n, q.num_atoms(), "join tree must have one bag per atom");
-
+    let bags = join_tree_bags(q, rels, tree, "serial Yannakakis");
     // Working copies, one per bag (bag b covers exactly atom λ[0]).
-    let atom_of_bag: Vec<usize> = tree.bags.iter().map(|b| b.atoms[0]).collect();
-    let mut work: Vec<Relation> = atom_of_bag.iter().map(|&a| rels[a].clone()).collect();
+    let schema: Vec<Vec<Var>> = bags.iter().map(|(vars, _)| vars.to_vec()).collect();
+    let mut work: Vec<Relation> = bags.iter().map(|&(_, rel)| rel.clone()).collect();
 
     let order = tree.topological_order(); // parents before children
                                           // Upward semijoin phase: leaves to root.
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
-            let filtered = semijoin(
-                &work[parent],
-                &q.atoms()[atom_of_bag[parent]].vars,
-                &work[b],
-                &q.atoms()[atom_of_bag[b]].vars,
-            );
-            work[parent] = filtered;
+            work[parent] = semijoin(&work[parent], &schema[parent], &work[b], &schema[b]);
         }
     }
     // Downward semijoin phase: root to leaves.
     for &b in &order {
         if let Some(parent) = tree.parent[b] {
-            let filtered = semijoin(
-                &work[b],
-                &q.atoms()[atom_of_bag[b]].vars,
-                &work[parent],
-                &q.atoms()[atom_of_bag[parent]].vars,
-            );
-            work[b] = filtered;
+            work[b] = semijoin(&work[b], &schema[b], &work[parent], &schema[parent]);
         }
     }
 
-    // Join phase: fold children into parents, bottom-up. Track the
-    // variable schema of each partial result.
-    let mut schema: Vec<Vec<Var>> = atom_of_bag
-        .iter()
-        .map(|&a| q.atoms()[a].vars.clone())
-        .collect();
-    let mut partial: Vec<Option<Relation>> = work.into_iter().map(Some).collect();
+    // Join phase: fold children into parents, bottom-up. Each partial
+    // result carries its variable schema.
+    let mut partial: Vec<Option<(Relation, Vec<Var>)>> =
+        work.into_iter().zip(schema).map(Some).collect();
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
-            let child_rel = partial[b].take().expect("child joined once");
-            let parent_rel = partial[parent].take().expect("parent present");
-            let (joined, joined_schema) =
-                join_on_schemas(&parent_rel, &schema[parent], &child_rel, &schema[b]);
-            partial[parent] = Some(joined);
-            schema[parent] = joined_schema;
+            let (child_rel, child_vars) = partial[b].take().expect("child joined once");
+            let (parent_rel, parent_vars) = partial[parent].take().expect("parent present");
+            partial[parent] = Some(join_on_schemas(
+                &parent_rel,
+                &parent_vars,
+                &child_rel,
+                &child_vars,
+            ));
         }
     }
 
@@ -149,8 +131,7 @@ pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
     let mut acc: Option<(Relation, Vec<Var>)> = None;
     for &b in &order {
         if tree.parent[b].is_none() {
-            let rel = partial[b].take().expect("root present");
-            let sch = schema[b].clone();
+            let (rel, sch) = partial[b].take().expect("root present");
             acc = Some(match acc {
                 None => (rel, sch),
                 Some((a_rel, a_sch)) => join_on_schemas(&a_rel, &a_sch, &rel, &sch),
@@ -162,6 +143,90 @@ pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
     bindings_to_relation(q.num_vars(), &sch, rows)
 }
 
+/// `|q(rels)|` under bag semantics, counted over a width-1 join tree in
+/// `O(IN)` without materialising the output: a counting Yannakakis pass.
+/// Bottom-up, each tuple's weight is the product over its children of
+/// the summed child weights on matching keys; `OUT` is the product over
+/// the roots of their summed weights. Dangling tuples weigh 0, so no
+/// semijoin phase is needed. Saturates at `u128::MAX`.
+///
+/// # Panics
+/// As [`yannakakis_serial`].
+pub fn join_size(q: &Query, rels: &[Relation], tree: &Ghd) -> u128 {
+    let bags = join_tree_bags(q, rels, tree, "join_size");
+    let mut weight: Vec<Vec<u128>> = bags.iter().map(|(_, rel)| vec![1; rel.len()]).collect();
+    let mut key = Vec::new();
+    for &b in tree.topological_order().iter().rev() {
+        let Some(parent) = tree.parent[b] else {
+            continue;
+        };
+        let ((parent_vars, parent_rel), (child_vars, child_rel)) = (bags[parent], bags[b]);
+        let shared = shared_columns(parent_vars, child_vars);
+        // Sum the child's weights per key, then scale each parent tuple.
+        let mut sums: FastMap<Vec<Value>, u128> = FastMap::default();
+        for (row, &w) in child_rel.iter().zip(&weight[b]) {
+            key_into(&mut key, row, shared.iter().map(|&(_, c)| c));
+            match sums.get_mut(&key) {
+                Some(sum) => *sum = sum.saturating_add(w),
+                None => {
+                    sums.insert(key.clone(), w);
+                }
+            }
+        }
+        for (row, w) in parent_rel.iter().zip(&mut weight[parent]) {
+            key_into(&mut key, row, shared.iter().map(|&(p, _)| p));
+            *w = w.saturating_mul(sums.get(&key).copied().unwrap_or(0));
+        }
+    }
+    tree.parent
+        .iter()
+        .zip(&weight)
+        .filter(|(parent, _)| parent.is_none())
+        .map(|(_, root)| root.iter().fold(0, |acc: u128, &w| acc.saturating_add(w)))
+        .fold(1, u128::saturating_mul)
+}
+
+/// Check that `tree` is a width-1 join tree of `q` with one bag per
+/// atom, and return each bag's atom as `(variables, relation)`.
+fn join_tree_bags<'a>(
+    q: &'a Query,
+    rels: &'a [Relation],
+    tree: &Ghd,
+    caller: &str,
+) -> Vec<(&'a [Var], &'a Relation)> {
+    check_inputs(q, rels);
+    tree.validate(q).expect("invalid GHD");
+    assert!(tree.width() == 1, "{caller} requires a width-1 join tree");
+    assert_eq!(
+        tree.bags.len(),
+        q.num_atoms(),
+        "join tree must have one bag per atom"
+    );
+    tree.bags
+        .iter()
+        .map(|bag| {
+            let a = bag.atoms[0];
+            (q.atoms()[a].vars.as_slice(), &rels[a])
+        })
+        .collect()
+}
+
+/// The `(left, right)` column pairs of the variables two schemas share,
+/// in left column order.
+fn shared_columns(left_vars: &[Var], right_vars: &[Var]) -> Vec<(usize, usize)> {
+    left_vars
+        .iter()
+        .enumerate()
+        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
+        .collect()
+}
+
+/// Overwrite `key` with `row`'s values at `cols`.
+fn key_into(key: &mut Vec<Value>, row: &[Value], cols: impl Iterator<Item = usize>) {
+    key.clear();
+    key.extend(cols.map(|c| row[c]));
+}
+
 /// `left ⋉ right`: keep the tuples of `left` whose shared variables with
 /// `right` (per the two schemas) match some tuple of `right`.
 pub fn semijoin(
@@ -170,11 +235,7 @@ pub fn semijoin(
     right: &Relation,
     right_vars: &[Var],
 ) -> Relation {
-    let shared: Vec<(usize, usize)> = left_vars
-        .iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect();
+    let shared = shared_columns(left_vars, right_vars);
     if shared.is_empty() {
         return if right.is_empty() {
             Relation::new(left.arity())
@@ -197,11 +258,7 @@ fn join_on_schemas(
     right: &Relation,
     right_vars: &[Var],
 ) -> (Relation, Vec<Var>) {
-    let shared: Vec<(usize, usize)> = left_vars
-        .iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect();
+    let shared = shared_columns(left_vars, right_vars);
     let fresh: Vec<usize> = (0..right_vars.len())
         .filter(|&rp| !left_vars.contains(&right_vars[rp]))
         .collect();
@@ -355,6 +412,25 @@ mod tests {
         let fast = yannakakis_serial(&q, &rels, &tree);
         let slow = evaluate(&q, &rels);
         assert_eq!(fast.canonical(), slow.canonical());
+    }
+
+    #[test]
+    fn join_size_counts_bags_forests_and_dangling_tuples() {
+        let q = Query::star(3);
+        let tree = Ghd::join_tree(&q).expect("stars are acyclic");
+        // Center 1: 2 × 1 × 2 duplicates-included matches; center 2 dangles.
+        let r1 = Relation::from_rows(2, [[1, 10], [1, 10], [2, 20]]);
+        let r2 = Relation::from_rows(2, [[1, 30], [2, 40]]);
+        let r3 = Relation::from_rows(2, [[1, 50], [1, 51]]);
+        let rels = [r1, r2, r3];
+        assert_eq!(join_size(&q, &rels, &tree), 4);
+        assert_eq!(yannakakis_serial(&q, &rels, &tree).len(), 4);
+        let prod = Query::product();
+        let forest = Ghd::join_tree(&prod).expect("acyclic");
+        let r = Relation::from_rows(1, [[1], [2], [3]]);
+        let s = Relation::from_rows(1, [[7], [8]]);
+        assert_eq!(join_size(&prod, &[r.clone(), s], &forest), 6);
+        assert_eq!(join_size(&prod, &[r, Relation::new(1)], &forest), 0);
     }
 
     #[test]

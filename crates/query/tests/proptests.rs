@@ -5,7 +5,8 @@
 
 use parqp_data::Relation;
 use parqp_query::{
-    all_residuals, evaluate, generic_join, parse_query, psi_star, yannakakis_serial, Ghd, Query,
+    all_residuals, evaluate, generic_join, join_size, parse_query, psi_star, yannakakis_serial,
+    Ghd, Query,
 };
 use parqp_testkit::prelude::*;
 
@@ -54,6 +55,44 @@ proptest! {
         let fast = yannakakis_serial(&q, &rels, &tree).canonical();
         let slow = evaluate(&q, &rels).canonical();
         prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn join_size_equals_yannakakis_output_size(
+        shape in 0usize..6,
+        seed in 0u64..500,
+        rows in 0usize..40,
+        domain in 1u64..30,
+    ) {
+        // Chains, stars, slide 64's tree and two forests; large domains
+        // leave many dangling tuples, small ones many duplicates.
+        let q = [
+            Query::chain(4),
+            Query::star(3),
+            Query::slide64_tree(),
+            Query::product(),
+            parse_query("R(x, y), S(y, z), T(w, v)").expect("valid"),
+            Query::chain(2),
+        ][shape].clone();
+        let rels: Vec<Relation> = q
+            .atoms()
+            .iter()
+            .enumerate()
+            .map(|(i, atom)| {
+                let h = parqp_mpc::HashFamily::new(seed + i as u64, atom.arity());
+                Relation::from_rows(
+                    atom.arity(),
+                    (0..rows as u64).map(|j| {
+                        (0..atom.arity()).map(|c| h.digest(c, j) % domain).collect::<Vec<_>>()
+                    }),
+                )
+            })
+            .collect();
+        let tree = Ghd::join_tree(&q).expect("acyclic");
+        prop_assert_eq!(
+            join_size(&q, &rels, &tree),
+            yannakakis_serial(&q, &rels, &tree).len() as u128
+        );
     }
 
     #[test]

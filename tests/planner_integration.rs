@@ -89,6 +89,77 @@ fn planner_reasons_mention_slides() {
     );
 }
 
+/// The decision (strategy and reason) on the benchmark's four `mix`
+/// join shapes (seed 42, p = 27) and on the `chain-binary` observe
+/// instance (seed 7). OUT is counted, not materialised; the reasons
+/// quote it, so a miscount shows here.
+#[test]
+fn planner_pins_mix_shapes_and_chain_binary() {
+    let s = |k: u64| 42u64.wrapping_add(k);
+    let graph = generate::uniform(2, 7_000, 2_000, s(0));
+    let zipf: Vec<Relation> = (0..3)
+        .map(|i| generate::zipf_pairs(6_000, 400, 1.1, 0, s(10 + i)))
+        .collect();
+    let sparse: Vec<Relation> = (0..3)
+        .map(|i| generate::key_unique_pairs(6_000, usize::from(i == 0), 6_000, s(20 + i)))
+        .collect();
+    let dense: Vec<Relation> = (0..3)
+        .map(|i| generate::uniform(2, 2_000, 250, s(30 + i)))
+        .collect();
+    let hypercube = "multiway skew-free: one-round HyperCube at the τ* optimum (slide 40)";
+    let skewhc = "multiway with heavy hitters: SkewHC residual queries (slide 47)";
+    let cases: Vec<(Query, Vec<Relation>, usize, Strategy, &str)> = vec![
+        (
+            Query::triangle(),
+            vec![graph.clone(), graph.clone(), graph],
+            27,
+            Strategy::HyperCube,
+            hypercube,
+        ),
+        (Query::triangle(), zipf, 27, Strategy::SkewHC, skewhc),
+        (
+            Query::chain(3),
+            sparse,
+            27,
+            Strategy::Gym,
+            "acyclic, OUT = 6000 below the (IN+OUT)/p crossover 75531 (slide 78): GYM",
+        ),
+        (Query::chain(3), dense, 27, Strategy::HyperCube, hypercube),
+    ];
+    let chain_binary: Vec<Relation> = (0..3)
+        .map(|i| generate::uniform(2, 800, 120, 7u64.wrapping_add(i)))
+        .collect();
+    let cases = cases.into_iter().chain([
+        (
+            Query::chain(3),
+            chain_binary.clone(),
+            8,
+            Strategy::HyperCube,
+            hypercube,
+        ),
+        (
+            Query::chain(3),
+            chain_binary.clone(),
+            27,
+            Strategy::HyperCube,
+            hypercube,
+        ),
+        (Query::chain(3), chain_binary, 64, Strategy::SkewHC, skewhc),
+    ]);
+    for (q, rels, p, strategy, reason) in cases {
+        let d = plan(&q, &rels, p);
+        assert_eq!(
+            (&d.strategy, d.reason.as_str()),
+            (&strategy, reason),
+            "{q:?} at p = {p}"
+        );
+        if let Some(tree) = Ghd::join_tree(&q) {
+            let out = parqp::query::join_size(&q, &rels, &tree);
+            assert_eq!(out, parqp::query::evaluate(&q, &rels).len() as u128);
+        }
+    }
+}
+
 #[test]
 fn chernoff_bound_validated_empirically() {
     // Hash-partition a no-skew input many times; the frequency of
