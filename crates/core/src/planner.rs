@@ -13,7 +13,7 @@
 //! [`plan`] encodes those rules and [`run_plan`] executes the choice.
 
 use crate::model;
-use parqp_data::stats::max_degree;
+use parqp_data::stats::heavy_hitters;
 use parqp_data::Relation;
 use parqp_join::{baselines, gym, multiway, plans, skewhc, twoway, JoinRun};
 use parqp_query::{Ghd, Query};
@@ -169,11 +169,12 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
 /// atom column holds a value of degree at least `max(2, N/p)`, `N` the
 /// atom's size. The floor of 2 keeps degree-1 values out, and such a
 /// value is also heavy at SkewHC's `max(1, N/p)` threshold, so no
-/// separate heavy-set pass is needed.
+/// separate heavy-set pass is needed. On skew-free input this is one
+/// bucket-count scan per column, no degree map.
 fn skewed(query: &Query, rels: &[Relation], p: usize) -> bool {
     query.atoms().iter().zip(rels).any(|(atom, rel)| {
         let threshold = ((rel.len() / p) as u64).max(2);
-        (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
+        (0..atom.arity()).any(|pos| !heavy_hitters(rel, pos, threshold).is_empty())
     })
 }
 
@@ -321,6 +322,7 @@ fn reorder_twoway(
 mod tests {
     use super::*;
     use parqp_data::generate;
+    use parqp_data::stats::max_degree;
     use parqp_query::evaluate;
 
     fn check(q: &Query, rels: &[Relation], p: usize) -> (Decision, JoinRun) {

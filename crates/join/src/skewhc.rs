@@ -25,7 +25,7 @@
 use crate::common::{append_by_tag, scatter, JoinRun};
 use crate::local::local_evaluate;
 use parqp_data::paged::RouteScan;
-use parqp_data::stats::degree_counts;
+use parqp_data::stats::heavy_hitters;
 use parqp_data::{FastSet, Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowBatch};
 use parqp_query::{residual, Query};
@@ -216,11 +216,7 @@ pub fn heavy_values(query: &Query, rels: &[Relation], p: usize) -> Vec<FastSet<V
     for (j, rel) in rels.iter().enumerate() {
         let threshold = ((rel.len() / p.max(1)) as u64).max(1);
         for (pos, &v) in query.atoms()[j].vars.iter().enumerate() {
-            for (value, deg) in degree_counts(rel, pos) {
-                if deg >= threshold {
-                    heavy[v].insert(value);
-                }
-            }
+            heavy[v].extend(heavy_hitters(rel, pos, threshold));
         }
     }
     heavy
@@ -317,6 +313,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-column full-degree-map formula `heavy_values` replaced.
+    fn heavy_values_full_map(query: &Query, rels: &[Relation], p: usize) -> Vec<FastSet<Value>> {
+        let mut heavy: Vec<FastSet<Value>> = vec![FastSet::default(); query.num_vars()];
+        for (j, rel) in rels.iter().enumerate() {
+            let threshold = ((rel.len() / p.max(1)) as u64).max(1);
+            for (pos, &v) in query.atoms()[j].vars.iter().enumerate() {
+                for (value, deg) in parqp_data::stats::degree_counts(rel, pos) {
+                    if deg >= threshold {
+                        heavy[v].insert(value);
+                    }
+                }
+            }
+        }
+        heavy
+    }
+
+    #[test]
+    fn heavy_values_equal_the_full_degree_map_formula() {
+        let shapes = [Query::two_way(), Query::triangle(), Query::chain(3)];
+        let mut nonempty = 0;
+        for case in 0..36u64 {
+            let q = &shapes[(case % 3) as usize];
+            let rels: Vec<Relation> = (0..q.num_atoms() as u64)
+                .map(|j| {
+                    let seed = case * 8 + j;
+                    match (case / 3) % 3 {
+                        0 => generate::uniform(2, 40 + 97 * j as usize, 60, seed),
+                        1 => generate::zipf_pairs(600, 300, 1.2, (j % 2) as usize, seed),
+                        _ => generate::planted_heavy_pairs(
+                            500,
+                            &[3, 9],
+                            90,
+                            (j % 2) as usize,
+                            200,
+                            seed,
+                        ),
+                    }
+                })
+                .collect();
+            for p in [1, 2, 8, 27, 64] {
+                let got = heavy_values(q, &rels, p);
+                assert_eq!(
+                    got,
+                    heavy_values_full_map(q, &rels, p),
+                    "case {case}, p = {p}"
+                );
+                nonempty += got.iter().filter(|h| !h.is_empty()).count();
+            }
+        }
+        assert!(nonempty > 50, "too few non-empty heavy sets compared");
     }
 
     #[test]

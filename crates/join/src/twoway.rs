@@ -13,7 +13,7 @@
 
 use crate::common::{by_tag, joined_arity, local_hash_join, merge_rows, rows_of, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
-use parqp_data::stats::{degree_counts, join_heavy_hitters, join_output_size};
+use parqp_data::stats::{degrees_of, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, RowBatch, Weight};
 
@@ -263,24 +263,26 @@ pub fn skew_join(
         // No split possible (or needed): plain hash join.
         return hash_join(r, r_col, s, s_col, p, seed);
     }
+    // Degrees of the heavy candidates only (no full degree map).
+    let mut heavy_set: parqp_data::FastSet<Value> = heavy.iter().copied().collect();
+    let r_deg = degrees_of(r, r_col, &heavy_set);
+    let s_deg = degrees_of(s, s_col, &heavy_set);
     // Each heavy hitter needs an exclusive server group; with fewer
     // servers than hitters, keep the heaviest p−1 and let the rest ride
     // the light hash join (they are at most barely heavy anyway).
     if heavy.len() + 1 > p {
-        let dr = degree_counts(r, r_col);
-        let ds = degree_counts(s, s_col);
         heavy.sort_by_key(|b| {
-            std::cmp::Reverse(dr.get(b).copied().unwrap_or(0) + ds.get(b).copied().unwrap_or(0))
+            std::cmp::Reverse(
+                r_deg.get(b).copied().unwrap_or(0) + s_deg.get(b).copied().unwrap_or(0),
+            )
         });
         heavy.truncate(p.saturating_sub(1).max(1));
         heavy.sort_unstable();
+        heavy_set = heavy.iter().copied().collect();
     }
 
-    let heavy_set: parqp_data::FastSet<Value> = heavy.iter().copied().collect();
     let r_light = r.filter(|row| !heavy_set.contains(&row[r_col]));
     let s_light = s.filter(|row| !heavy_set.contains(&row[s_col]));
-    let r_deg = degree_counts(r, r_col);
-    let s_deg = degree_counts(s, s_col);
 
     // Group 0 = light hash join; group i ≥ 1 = heavy hitter i−1.
     // Predicted cost of a group given its server count, for water-filling.

@@ -85,22 +85,8 @@ impl Matrix {
     /// Serial conventional multiplication (the oracle): all `n³` products.
     pub fn multiply(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let mut c = Matrix::zeros(n);
-        // i-k-j loop order for cache-friendly row access.
-        for i in 0..n {
-            for k in 0..n {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let crow = &mut c.data[i * n..(i + 1) * n];
-                for (cv, bv) in crow.iter_mut().zip(brow) {
-                    *cv += a * bv;
-                }
-            }
-        }
+        let mut c = Matrix::zeros(self.n);
+        mul_add(&mut c.data, &self.data, &other.data, self.n);
         c
     }
 
@@ -112,6 +98,23 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// `acc += a · b` for row-major `n × n` blocks (`n ≥ 1`), in i-k-j order
+/// (row access stays contiguous) and skipping zero entries of `a`. The
+/// order fixes the bits of every sum, so callers sharing this kernel
+/// agree.
+pub(crate) fn mul_add(acc: &mut [f64], a: &[f64], b: &[f64], n: usize) {
+    for (crow, arow) in acc.chunks_exact_mut(n).zip(a.chunks_exact(n)) {
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if av == 0.0 {
+                continue;
+            }
+            for (cv, bv) in crow.iter_mut().zip(brow) {
+                *cv += av * bv;
+            }
+        }
     }
 }
 

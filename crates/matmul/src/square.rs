@@ -18,7 +18,7 @@
 //! Per round a processor receives `2(n/H)²` elements (`L`), and total
 //! communication is `Θ(n³/√L)` — the multi-round lower bound (slide 126).
 
-use crate::dense::Matrix;
+use crate::dense::{mul_add, Matrix};
 use crate::MatMulRun;
 use parqp_mpc::{metrics, trace, Cluster, Weight};
 
@@ -134,10 +134,8 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
             .zip(inboxes)
             .collect();
         partial = cluster.map(work, |_, (mut acc_map, inbox)| {
-            // Pair up A and B blocks: the schedule sends at most one
-            // product per processor per round... except when p < H²:
-            // then g mod p repeats within a round? No — g ranges over
-            // [lo, lo+p), so each processor gets exactly one product.
+            // Pair up A and B blocks: g ranges over [lo, lo+p), so each
+            // processor receives at most one product per round.
             let mut ablock: Option<BlockMsg> = None;
             let mut bblock: Option<BlockMsg> = None;
             for m in inbox {
@@ -154,17 +152,7 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
                 .entry((am.bi, bm.bj))
                 .or_insert_with(|| vec![0.0; nb * nb]);
             // Conventional block multiply: acc += A_blk · B_blk.
-            for r in 0..nb {
-                for kk in 0..nb {
-                    let av = am.vals[r * nb + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for c in 0..nb {
-                        acc[r * nb + c] += av * bm.vals[kk * nb + c];
-                    }
-                }
-            }
+            mul_add(acc, &am.vals, &bm.vals, nb);
             acc_map
         });
     }
@@ -307,5 +295,50 @@ mod tests {
         assert_eq!(c2, 2 * (n as u64).pow(2) * 2);
         assert_eq!(c4, 2 * (n as u64).pow(2) * 4);
         assert_eq!(c8, 2 * (n as u64).pow(2) * 8);
+    }
+
+    /// FNV-1a over a matrix's bit patterns, row-major.
+    fn bits_digest(m: &Matrix) -> u64 {
+        (0..m.n())
+            .flat_map(|i| m.row(i).iter())
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    /// Signed random entries with ~20% exact zeros (the kernel skips
+    /// zero entries of `A`).
+    fn sparse_signed(n: usize, seed: u64) -> Matrix {
+        let mut rng = parqp_testkit::Rng::seed_from_u64(seed);
+        let data = (0..n * n)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.gen_f64() * 2.0 - 1.0
+                }
+            })
+            .collect();
+        Matrix::from_data(n, data)
+    }
+
+    #[test]
+    fn product_bits_are_pinned() {
+        let a = sparse_signed(24, 11);
+        let b = sparse_signed(24, 12);
+        let got: Vec<(usize, usize, u64)> = [(2, 4), (3, 9), (4, 8), (6, 5), (2, 1)]
+            .into_iter()
+            .map(|(h, p)| (h, p, bits_digest(&square_block(&a, &b, h, p).c)))
+            .collect();
+        // Digests of the parent commit's index-loop kernel.
+        let expect = [
+            (2, 4, 5_630_769_897_050_985_939),
+            (3, 9, 6_251_697_738_770_712_605),
+            (4, 8, 10_627_174_941_917_136_950),
+            (6, 5, 8_912_133_361_668_050_320),
+            (2, 1, 5_630_769_897_050_985_939),
+        ];
+        assert_eq!(got, expect);
+        assert_eq!(bits_digest(&a.multiply(&b)), 0xdad7_313c_1f12_3f38);
     }
 }

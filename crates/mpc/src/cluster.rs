@@ -111,7 +111,10 @@ impl Cluster {
     /// a communication round: the MPC model assumes the input starts evenly
     /// distributed (`O(IN/p)` per server, slide 6).
     pub fn scatter<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
-        let mut out: Vec<Vec<T>> = (0..self.p).map(|_| Vec::new()).collect();
+        let per_server = items.len().div_ceil(self.p);
+        let mut out: Vec<Vec<T>> = (0..self.p)
+            .map(|_| Vec::with_capacity(per_server))
+            .collect();
         for (i, item) in items.into_iter().enumerate() {
             out[i % self.p].push(item);
         }

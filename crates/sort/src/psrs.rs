@@ -97,19 +97,25 @@ where
     }));
     let splitters = choose_splitters(&all, p);
 
-    // Round 2: route every item to its interval's server; local sort.
-    // The routing scan streams each server's run through its buffer
-    // pool (one logical read per item) when a paged store is installed.
+    // Round 2: route every item to its interval's server (the number of
+    // splitters below its key); local sort. Each run is sorted, so the
+    // destination only advances along it. The routing scan streams each
+    // server's run through its buffer pool (one logical read per item)
+    // when a paged store is installed.
     let _span = trace::span("psrs/route");
     let mut ex = cluster.exchange::<T>();
     for (sid, part) in local.into_iter().enumerate() {
         ex.set_sender(sid);
         let mut io = parqp_data::paged::IoCursor::new(sid);
+        let mut above = splitters.iter().peekable();
+        let mut dest = 0;
         for item in part {
             io.read(item.words() as usize);
             let k = key(&item);
-            let dest = splitters.partition_point(|&s| s < k);
-            ex.send(dest.min(p - 1), item);
+            while above.next_if(|&&s| s < k).is_some() {
+                dest += 1;
+            }
+            ex.send(dest, item);
         }
     }
     let partitions = ex.finish();
@@ -229,5 +235,61 @@ mod tests {
         assert_eq!(keys, expect);
         // payload preserved
         assert_eq!(flat.iter().map(|t| t.1).sum::<u64>(), (0..300).sum::<u64>());
+    }
+
+    /// FNV-1a over a run's `(key, payload)` pairs in order.
+    fn run_digest(run: &[(u64, u64)]) -> u64 {
+        run.iter().fold(0xcbf2_9ce4_8422_2325, |h, &(k, v)| {
+            ((h ^ k).wrapping_mul(0x100_0000_01b3) ^ v).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn duplicate_heavy_runs_and_ledger_are_pinned() {
+        // 40% of the keys are one value: splitters repeat and the hot
+        // key's items all route to one server, in send order.
+        let mut rng = Rng::seed_from_u64(9);
+        let items: Vec<(u64, u64)> = (0..12_000u64)
+            .map(|i| {
+                let k = if rng.gen_bool(0.4) {
+                    500
+                } else {
+                    rng.gen_range(0..1000u64)
+                };
+                (k, i)
+            })
+            .collect();
+        let mut cluster = Cluster::new(6);
+        let local = cluster.scatter(items);
+        let parts = psrs_by(&mut cluster, local, |t| t.0);
+        let runs: Vec<(usize, u64)> = parts.iter().map(|r| (r.len(), run_digest(r))).collect();
+        let ledger: Vec<(Vec<u64>, Vec<u64>)> = cluster
+            .report()
+            .rounds
+            .iter()
+            .map(|r| (r.tuples.clone(), r.words.clone()))
+            .collect();
+        // The parent commit's per-item `partition_point` routing.
+        assert_eq!(
+            runs,
+            [
+                (2166, 4_781_155_531_468_705_521),
+                (6310, 8_402_307_040_320_081_491),
+                (0, 14_695_981_039_346_656_037),
+                (0, 14_695_981_039_346_656_037),
+                (1452, 15_624_828_894_852_932_629),
+                (2072, 10_189_489_181_481_529_482),
+            ]
+        );
+        assert_eq!(
+            ledger,
+            [
+                (vec![30; 6], vec![30; 6]),
+                (
+                    vec![2166, 6310, 0, 0, 1452, 2072],
+                    vec![4332, 12620, 0, 0, 2904, 4144]
+                ),
+            ]
+        );
     }
 }
